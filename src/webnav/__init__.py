@@ -9,24 +9,39 @@ over sessions reconstructed from HTTP request logs.
 
 __version__ = "0.1.0"
 
-from .agents import (Back, BookmarkList, Forward, ModelParams, StepOutcome,
-                     Teleport, ZipfRankTable, abc_step, agent_rng,
-                     bookmark_sample, bookmark_touch, bookrank_step,
-                     make_agent, pagerank_step)
+from .agents import (Back, Forward, ModelParams, StepOutcome, Teleport,
+                     abc_step, bookrank_step, make_agent, pagerank_step)
 from .errors import (ConfigurationError, DataError, EmptyDataError,
                      ParseError, ProtocolError, StatisticsError, WebnavError)
-from .graph import (GraphMeta, WebGraph, generate_scale_free, load_edge_list,
-                    write_edge_list)
+from .graph import WebGraph, generate_scale_free, load_edge_list, write_edge_list
 from .ingest import (LogRecord, ParseStats, Sessionizer, descriptors_from_logs,
                      parse_log, sessionize)
 from .metrics import (LogBinnedHistogram, PowerLawFit, ccdf,
                       fit_geometric_ratio, fit_power_law, histogram,
-                      ks_statistic, zipf_samples)
+                      ks_statistic)
 from .run import (RunManifest, RunResult, SimConfig, compare_runs,
-                  format_comparison, partition_agents, run_ingest,
-                  run_simulation, simulate)
-from .session import (SessionDescriptor, SessionRecorder, SessionTree,
-                      TrafficTally, close_session, entropy_bits, record_step,
-                      user_entropy)
+                  format_comparison, run_ingest, run_simulation, simulate)
+from .session import (SessionDescriptor, SessionRecorder, TrafficTally,
+                      entropy_bits)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # models
+    "ModelParams", "StepOutcome", "Teleport", "Forward", "Back",
+    "make_agent", "pagerank_step", "bookrank_step", "abc_step",
+    # graphs
+    "WebGraph", "generate_scale_free", "load_edge_list", "write_edge_list",
+    # sessions and tallies
+    "SessionDescriptor", "SessionRecorder", "TrafficTally", "entropy_bits",
+    # log ingest
+    "LogRecord", "ParseStats", "parse_log", "Sessionizer", "sessionize",
+    "descriptors_from_logs",
+    # statistics
+    "LogBinnedHistogram", "PowerLawFit", "histogram", "ccdf",
+    "fit_power_law", "fit_geometric_ratio", "ks_statistic",
+    # runs
+    "SimConfig", "RunResult", "RunManifest", "simulate", "run_simulation",
+    "run_ingest", "compare_runs", "format_comparison",
+    # errors
+    "WebnavError", "ConfigurationError", "DataError", "EmptyDataError",
+    "ParseError", "ProtocolError", "StatisticsError",
+]

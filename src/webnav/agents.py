@@ -163,12 +163,6 @@ class BookmarkList:
         self._count[page] = c + 1
 
 
-def bookmark_touch(bookmarks: BookmarkList, page) -> BookmarkList:
-    """Increment a page's visit count (inserting it if absent); returns the list."""
-    bookmarks.touch(page)
-    return bookmarks
-
-
 def bookmark_sample(bookmarks: BookmarkList, beta: float, rng: random.Random,
                     table: ZipfRankTable | None = None):
     """Draw a page from the list with rank probability R^-beta / Z_L."""

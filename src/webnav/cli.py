@@ -11,8 +11,10 @@ import sys
 
 from .errors import (ConfigurationError, DataError, EmptyDataError,
                      ParseError, StatisticsError, WebnavError)
-from .run import (RunManifest, build_config, compare_runs, format_comparison,
-                  parse_config_file, run_ingest, run_simulation)
+from .ingest import DEFAULT_TIMEOUT
+from .run import (_CONFIG_KEYS, RunManifest, build_config, compare_runs,
+                  format_comparison, parse_config_file, run_ingest,
+                  run_simulation)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ing = sub.add_parser("ingest", help="rebuild sessions from a request log")
     ing.add_argument("log", help="TSV request log (timestamp, user, referrer, target)")
     ing.add_argument("--out", required=True, help="output directory")
-    ing.add_argument("--timeout", type=float, default=1800.0,
+    ing.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                      help="session inactivity timeout in seconds")
     ing.add_argument("--strip-query", action="store_true",
                      help="drop ?query suffixes from URLs")
@@ -69,17 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SIM_OPTION_KEYS = ("model", "n", "m", "gamma", "graph", "symmetrize", "pt",
-                    "beta", "pb", "e0", "cf", "cb", "eta", "delta0", "agents",
-                    "sessions", "sessions_file", "seed", "workers", "out",
-                    "export_log")
-
-
 def _cmd_simulate(args) -> int:
     options = {}
     if args.config:
         options.update(parse_config_file(args.config))
-    for key in _SIM_OPTION_KEYS:
+    for key in _CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:
             options[key] = value

@@ -6,15 +6,21 @@ recently requested, falling back to a new tree when no live session knows
 the referrer. A session expires once it has gone longer than the timeout
 without receiving a request. Processing is per-user independent, so the
 result does not depend on how users' records interleave in the input.
+
+Which requests reach the tallies is decided by the browser-cache rule in
+session.py (open_session and follow), the same calls the simulator's
+recorder makes, so an exported run re-ingests to identical tallies.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .session import SessionDescriptor, SessionTree, TrafficTally
+from .session import (SessionDescriptor, SessionTree, TrafficTally, follow,
+                      open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
 EMPTY_REFERRER = "-"
@@ -31,7 +37,7 @@ class LogRecord(NamedTuple):
 @dataclass
 class ParseStats:
     parsed: int = 0
-    skipped: int = 0    # malformed lines
+    skipped: int = 0    # malformed lines, non-finite or negative timestamps
     filtered: int = 0   # dropped by the extension allowlist
 
 
@@ -54,9 +60,10 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
 
     Each line holds timestamp, user id, referrer, target separated by
     tabs; '-' (or an empty field) marks a missing referrer. Malformed
-    lines are skipped and counted in stats. With strip_query, everything
-    from '?' on is removed from both URLs; with page_extensions, records
-    whose target carries a file extension outside the set are dropped.
+    lines, including non-finite or negative timestamps, are skipped and
+    counted in stats. With strip_query, everything from '?' on is removed
+    from both URLs; with page_extensions, records whose target carries a
+    file extension outside the set are dropped.
     """
     if stats is None:
         stats = ParseStats()
@@ -75,7 +82,8 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
         except ValueError:
             stats.skipped += 1
             continue
-        if ts < 0 or not user or not target or target == EMPTY_REFERRER:
+        if (not math.isfinite(ts) or ts < 0 or not user or not target
+                or target == EMPTY_REFERRER):
             stats.skipped += 1
             continue
         if referrer in ("", EMPTY_REFERRER):
@@ -96,10 +104,10 @@ class _LiveSession:
 
     __slots__ = ("sid", "tree", "url_times", "last_activity", "requests")
 
-    def __init__(self, sid: int, root: str, t: float):
+    def __init__(self, sid: int, tree: SessionTree, t: float):
         self.sid = sid
-        self.tree = SessionTree(root)
-        self.url_times = {root: t}
+        self.tree = tree
+        self.url_times = {tree.root: t}
         self.last_activity = t
         self.requests = 0
 
@@ -174,24 +182,16 @@ class Sessionizer:
         sess = None
         if record.referrer is not None:
             sess = self._find_by_referrer(state, record.referrer, t)
-        tally = self.tally
         if sess is None:
             # empty referrer, unknown referrer, or expired session: new root
             sid = state.next_sid
             state.next_sid += 1
-            sess = _LiveSession(sid, target, t)
+            sess = _LiveSession(sid, open_session(self.tally, user, target), t)
             state.sessions[sid] = sess
-            tally.session_starts[target] += 1
-            tally.page_visits[target] += 1
-            tally.touch_user(user, target)
             heapq.heappush(state.expiry_heap, (t, sid))
         else:
             sess.requests += 1
-            if target not in sess.tree:
-                sess.tree.add_edge(record.referrer, target)
-                tally.page_visits[target] += 1
-                tally.link_visits[(record.referrer, target)] += 1
-                tally.touch_user(user, target)
+            follow(self.tally, user, sess.tree, record.referrer, target)
             # re-requests still refresh recency for future attachments
             sess.url_times[target] = t
             sess.last_activity = t

@@ -125,7 +125,7 @@ _CONFIG_KEYS = {
     "delta0": ("delta0", float),
 }
 
-_PARAM_FIELDS = {f.name for f in fields(ModelParams)}
+_PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 
 
 def _parse_bool(raw: str) -> bool:
@@ -512,6 +512,22 @@ def _manifest_values(command: str, config_items: dict, result_items: dict,
     return values
 
 
+def _summary_items(descriptors, tally, entropies, click_lengths) -> dict:
+    """Manifest summary shared by simulated and ingested runs."""
+    n = len(descriptors)
+    mean_entropy = (sum(s for _, s, _ in entropies) / len(entropies)
+                    if entropies else math.nan)
+    return {
+        "total_sessions": n,
+        "total_clicks": sum(l * c for l, c in click_lengths.items()),
+        "total_page_visits": sum(tally.page_visits.values()),
+        "total_link_visits": sum(tally.link_visits.values()),
+        "mean_session_size": _fmt(sum(d.size for d in descriptors) / n),
+        "mean_session_depth": _fmt(sum(d.depth for d in descriptors) / n),
+        "mean_user_entropy": _fmt(mean_entropy),
+    }
+
+
 def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManifest:
     """Simulate, write every output file, and return the saved manifest."""
     result = simulate(config, graph)
@@ -531,27 +547,18 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
         "graph_m": config.graph_m,
         "graph_gamma": _fmt(config.graph_gamma),
         "symmetrize": config.symmetrize,
-        "p_t": _fmt(p.p_t), "beta": _fmt(p.beta), "p_b": _fmt(p.p_b),
-        "e0": _fmt(p.e0), "c_f": _fmt(p.c_f), "c_b": _fmt(p.c_b),
-        "eta": _fmt(p.eta), "delta0": _fmt(p.delta0),
+        **{name: _fmt(getattr(p, name)) for name in _PARAM_FIELDS},
         "n_agents": config.n_agents,
         "sessions": ("@" + config.sessions_file if config.sessions_file
                      else config.sessions),
         "seed": config.seed,
         "workers": config.workers,
     }
-    mean_entropy = (sum(s for _, s, _ in result.entropies) / len(result.entropies)
-                    if result.entropies else math.nan)
     result_items = {
         "n_nodes": result.graph_n,
         "n_edges": result.graph_edges,
-        "total_sessions": result.total_sessions,
-        "total_clicks": result.total_clicks,
-        "total_page_visits": sum(result.tally.page_visits.values()),
-        "total_link_visits": sum(result.tally.link_visits.values()),
-        "mean_session_size": _fmt(result.mean_session_size()),
-        "mean_session_depth": _fmt(result.mean_session_depth()),
-        "mean_user_entropy": _fmt(mean_entropy),
+        **_summary_items(result.descriptors, result.tally, result.entropies,
+                         result.click_lengths),
         "wall_time_s": _fmt(result.wall_time),
     }
     manifest = RunManifest(_manifest_values("simulate", config_items,
@@ -591,19 +598,9 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
         "records_skipped": stats.skipped,
         "records_filtered": stats.filtered,
     }
-    sizes = [d.size for d in descriptors]
-    depths = [d.depth for d in descriptors]
-    mean_entropy = (sum(s for _, s, _ in entropies) / len(entropies)
-                    if entropies else math.nan)
     result_items = {
         "n_users": len(users),
-        "total_sessions": len(descriptors),
-        "total_clicks": sum(d.clicks for d in descriptors),
-        "total_page_visits": sum(tally.page_visits.values()),
-        "total_link_visits": sum(tally.link_visits.values()),
-        "mean_session_size": _fmt(sum(sizes) / len(sizes)),
-        "mean_session_depth": _fmt(sum(depths) / len(depths)),
-        "mean_user_entropy": _fmt(mean_entropy),
+        **_summary_items(descriptors, tally, entropies, click_lengths),
         "wall_time_s": _fmt(time.perf_counter() - started),
     }
     manifest = RunManifest(_manifest_values("ingest", config_items,

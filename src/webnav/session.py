@@ -1,8 +1,10 @@
 """Session trees, traffic tallies, and the per-user click recorder.
 
-The recorder enforces the browser-cache rule: within one session, a page
-or link contributes to the tallies only on its first visit; repeats and
-back clicks are cache hits. Cache state is discarded between sessions.
+open_session and follow are the single home of the browser-cache rule:
+within one session, a page or link contributes to the tallies only on its
+first visit; repeats and back clicks are cache hits. Cache state is
+discarded between sessions. The simulator's SessionRecorder and the log
+Sessionizer (ingest.py) both apply the rule through these two calls.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from typing import NamedTuple
 
 from .agents import BACK, FORWARD, TELEPORT, StepOutcome
 from .errors import ProtocolError
-
-SESSIONS_CSV_HEADER = "user_id,session_index,root,size,depth"
 
 
 class SessionTree:
@@ -45,17 +45,6 @@ class SessionTree:
             self.max_depth = d
 
 
-class TreeSummary(NamedTuple):
-    root: object
-    size: int
-    depth: int
-
-
-def close_session(tree: SessionTree) -> TreeSummary:
-    """Final descriptor of a session tree; cache state dies with the tree."""
-    return TreeSummary(tree.root, tree.size, tree.max_depth)
-
-
 class SessionDescriptor(NamedTuple):
     """One row of the session descriptor stream (plus the click count)."""
 
@@ -65,9 +54,6 @@ class SessionDescriptor(NamedTuple):
     size: int
     depth: int
     clicks: int
-
-    def csv_row(self) -> str:
-        return f"{self.user},{self.index},{self.root},{self.size},{self.depth}"
 
 
 class TrafficTally:
@@ -108,13 +94,27 @@ class TrafficTally:
         return sum(self.session_starts.values())
 
 
-def user_entropy(tally: TrafficTally, user) -> float:
-    """Shannon entropy (bits) of the user's normalized visit vector.
+def open_session(tally: TrafficTally, user, root) -> SessionTree:
+    """Start a session tree at root and tally its empty-referrer request."""
+    tally.session_starts[root] += 1
+    tally.page_visits[root] += 1
+    tally.touch_user(user, root)
+    return SessionTree(root)
 
-    Raises KeyError for a user with no recorded visits.
+
+def follow(tally: TrafficTally, user, tree: SessionTree, src, dst) -> bool:
+    """Apply the click src -> dst to tree; True only on dst's first visit.
+
+    A first visit grows the tree and tallies the page and the link; a
+    page already in the tree is a cache hit and changes nothing.
     """
-    visits = tally.per_user_visits[user]
-    return entropy_bits(visits.values())
+    if dst in tree:
+        return False
+    tree.add_edge(src, dst)
+    tally.page_visits[dst] += 1
+    tally.link_visits[(src, dst)] += 1
+    tally.touch_user(user, dst)
+    return True
 
 
 def entropy_bits(counts) -> float:
@@ -157,13 +157,9 @@ class SessionRecorder:
         kind, to = outcome
         if kind == TELEPORT:
             closed = self._close_current() if self.tree is not None else None
-            self.tree = SessionTree(to)
+            self.tree = open_session(self.tally, self.user, to)
             self.position = to
             self.clicks = 0
-            t = self.tally
-            t.session_starts[to] += 1
-            t.page_visits[to] += 1
-            t.touch_user(self.user, to)
             if self.on_request is not None:
                 self.on_request(None, to)
             return closed
@@ -171,15 +167,10 @@ class SessionRecorder:
             raise ProtocolError(f"{kind} step before any session start")
         self.clicks += 1
         if kind == FORWARD:
-            if to not in self.tree:
-                src = self.position
-                self.tree.add_edge(src, to)
-                t = self.tally
-                t.page_visits[to] += 1
-                t.link_visits[(src, to)] += 1
-                t.touch_user(self.user, to)
-                if self.on_request is not None:
-                    self.on_request(src, to)
+            src = self.position
+            if (follow(self.tally, self.user, self.tree, src, to)
+                    and self.on_request is not None):
+                self.on_request(src, to)
             self.position = to
             return None
         if kind == BACK:
@@ -200,38 +191,8 @@ class SessionRecorder:
         return desc
 
     def _close_current(self) -> SessionDescriptor:
-        summary = close_session(self.tree)
-        desc = SessionDescriptor(self.user, self.sessions_closed, summary.root,
-                                 summary.size, summary.depth, self.clicks)
+        tree = self.tree
+        desc = SessionDescriptor(self.user, self.sessions_closed, tree.root,
+                                 tree.size, tree.max_depth, self.clicks)
         self.sessions_closed += 1
         return desc
-
-
-def record_step(tree, tally, outcome, user, position=None):
-    """One-shot recording primitive for a single outcome.
-
-    Returns (tree, position): the possibly replaced tree and the walker's
-    new position. Engine code uses SessionRecorder instead; this form
-    exists for direct tally manipulation and tests.
-    """
-    kind, to = outcome
-    if kind == TELEPORT:
-        tree = SessionTree(to)
-        tally.session_starts[to] += 1
-        tally.page_visits[to] += 1
-        tally.touch_user(user, to)
-        return tree, to
-    if tree is None:
-        raise ProtocolError(f"{kind} step before any session start")
-    if kind == FORWARD:
-        if to not in tree:
-            tree.add_edge(position, to)
-            tally.page_visits[to] += 1
-            tally.link_visits[(position, to)] += 1
-            tally.touch_user(user, to)
-        return tree, to
-    if kind == BACK:
-        if to not in tree:
-            raise ProtocolError(f"back to {to!r}, never visited this session")
-        return tree, to
-    raise ProtocolError(f"unknown outcome kind {kind!r}")

@@ -51,10 +51,10 @@ import pytest
 from webnav import (Back, Forward, ModelParams, SimConfig, Teleport,
                     TrafficTally, abc_step, entropy_bits, fit_geometric_ratio,
                     fit_power_law, generate_scale_free, ks_statistic,
-                    make_agent, parse_log, run_simulation, simulate,
-                    zipf_samples)
+                    make_agent, parse_log, run_simulation, simulate)
 from webnav.agents import BACK, FORWARD, TELEPORT, BookmarkList
 from webnav.ingest import descriptors_from_logs
+from webnav.metrics import zipf_samples
 from webnav.session import SessionRecorder
 
 DESK_GRAPH = dict(n=100_000, m=3, gamma=2.1, seed=1)

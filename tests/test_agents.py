@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webnav import (ModelParams, SimConfig, ZipfRankTable, abc_step,
-                    agent_rng, bookmark_sample, bookmark_touch, bookrank_step,
+from webnav import (ModelParams, SimConfig, abc_step, bookrank_step,
                     generate_scale_free, ks_statistic, make_agent,
                     pagerank_step, simulate)
-from webnav.agents import BACK, FORWARD, TELEPORT, BookmarkList
+from webnav.agents import (BACK, FORWARD, TELEPORT, BookmarkList,
+                           ZipfRankTable, agent_rng, bookmark_sample)
 from webnav.errors import ConfigurationError
 
 
@@ -40,11 +40,6 @@ class TestBookmarkList:
         bl = build_list(["A", "A", "B"])
         bl.touch("B")
         assert bl.entries() == [("A", 2), ("B", 2)]
-
-    def test_bookmark_touch_wrapper(self):
-        bl = BookmarkList()
-        bookmark_touch(bl, "A")
-        assert bl.entries() == [("A", 1)]
 
     @given(st.lists(st.integers(min_value=0, max_value=8), max_size=60))
     @settings(max_examples=300)

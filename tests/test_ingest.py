@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from webnav import (ModelParams, SimConfig, TrafficTally, descriptors_from_logs,
-                    generate_scale_free, parse_log, sessionize, simulate)
+                    entropy_bits, generate_scale_free, parse_log, sessionize,
+                    simulate)
 from webnav.ingest import LogRecord, ParseStats
 
 
@@ -38,8 +39,12 @@ class TestParseLog:
 
     def test_bad_timestamp_dropped(self):
         stats = ParseStats()
-        assert list(parse_log(["soon\tu\t-\tx\n"], stats=stats)) == []
-        assert stats.skipped == 1
+        # non-finite times would make a session that never expires
+        stamps = ["soon", "nan", "NaN", "inf", "-inf", "1e400", "-1"]
+        lines = [f"{ts}\tu\t-\tx\n" for ts in stamps]
+        assert list(parse_log(lines, stats=stats)) == []
+        assert stats.skipped == len(stamps)
+        assert stats.parsed == 0
 
     def test_extension_allowlist(self):
         stats = ParseStats()
@@ -154,8 +159,7 @@ class TestDescriptorsFromLogs:
     def test_single_record(self):
         descs, tally = descriptors_from_logs(records((0, "u", None, "A")))
         assert [(d.size, d.depth) for d in descs] == [(1, 0)]
-        from webnav import user_entropy
-        assert user_entropy(tally, "u") == 0.0
+        assert entropy_bits(tally.per_user_visits["u"].values()) == 0.0
 
     def test_mean_sessions_per_user(self):
         recs = records(*[(i, f"u{i % 3}", None, f"p{i}") for i in range(12)])
@@ -165,9 +169,10 @@ class TestDescriptorsFromLogs:
 
 
 class TestRoundTrip:
-    def test_abc_export_reingests_identically(self, tmp_path):
+    @pytest.mark.parametrize("model", ["pagerank", "bookrank", "abc"])
+    def test_export_reingests_identically(self, model):
         graph = generate_scale_free(2000, 3, 2.1, seed=11)
-        config = SimConfig(model="abc", n_agents=50, sessions=50, seed=77,
+        config = SimConfig(model=model, n_agents=50, sessions=50, seed=77,
                            workers=1, export_log=True, params=ModelParams())
         sim = simulate(config, graph=graph)
         recs = list(parse_log(iter(sim.log_lines)))

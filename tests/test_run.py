@@ -4,11 +4,10 @@ from pathlib import Path
 import pytest
 
 from webnav import (ModelParams, RunManifest, SimConfig, compare_runs,
-                    generate_scale_free, partition_agents, run_ingest,
-                    run_simulation, simulate)
+                    generate_scale_free, run_ingest, run_simulation, simulate)
 from webnav.cli import main
 from webnav.errors import ConfigurationError
-from webnav.run import build_config, parse_config_file
+from webnav.run import build_config, parse_config_file, partition_agents
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webnav import (Back, Forward, Teleport, TrafficTally, close_session,
-                    entropy_bits, record_step, user_entropy)
+from webnav import Back, Forward, Teleport, TrafficTally, entropy_bits
 from webnav.errors import ProtocolError
-from webnav.session import SessionRecorder, SessionTree
+from webnav.session import SessionRecorder, follow, open_session
 
 
 def record_all(outcomes, user="u"):
@@ -88,20 +87,28 @@ class TestSessionTree:
         with pytest.raises(ProtocolError):
             rec.record(Back("Z"))
 
-    def test_close_session_summary(self):
-        tree = SessionTree("A")
-        tree.add_edge("A", "B")
-        tree.add_edge("B", "C")
-        summary = close_session(tree)
-        assert summary == ("A", 3, 2)
 
-    def test_record_step_primitive(self):
+class TestCacheKernel:
+    def test_follow_tallies_first_visit_only(self):
         tally = TrafficTally()
-        tree, pos = record_step(None, tally, Teleport("A"), "u")
-        tree, pos = record_step(tree, tally, Forward("B"), "u", pos)
-        assert tree.size == 2 and pos == "B"
-        with pytest.raises(ProtocolError):
-            record_step(None, tally, Forward("B"), "u")
+        tree = open_session(tally, "u", "A")
+        assert follow(tally, "u", tree, "A", "B") is True
+        assert follow(tally, "u", tree, "A", "B") is False  # cache hit
+        assert follow(tally, "u", tree, "B", "A") is False  # the root is cached too
+        assert (tree.size, tree.max_depth) == (2, 1)
+        assert tally.page_visits == {"A": 1, "B": 1}
+        assert tally.link_visits == {("A", "B"): 1}
+        assert tally.session_starts == {"A": 1}
+        assert tally.per_user_visits == {"u": Counter({"A": 1, "B": 1})}
+
+    def test_recorder_requests_first_visits_only(self):
+        requests = []
+        rec = SessionRecorder("u", TrafficTally(),
+                              lambda ref, to: requests.append((ref, to)))
+        for outcome in [Teleport("A"), Forward("B"), Back("A"), Forward("B"),
+                        Forward("C"), Teleport("A")]:
+            rec.record(outcome)
+        assert requests == [(None, "A"), ("A", "B"), ("B", "C"), (None, "A")]
 
 
 class TestEntropy:
@@ -109,13 +116,13 @@ class TestEntropy:
         tally = TrafficTally()
         for _ in range(5):
             tally.touch_user("u", "A")
-        assert user_entropy(tally, "u") == 0.0
+        assert entropy_bits(tally.per_user_visits["u"].values()) == 0.0
 
     def test_four_equal_pages_two_bits(self):
         tally = TrafficTally()
         for page in "ABCD":
             tally.touch_user("u", page)
-        assert user_entropy(tally, "u") == pytest.approx(2.0)
+        assert entropy_bits(tally.per_user_visits["u"].values()) == pytest.approx(2.0)
 
     def test_three_one_split(self):
         # -0.75 log2 0.75 - 0.25 log2 0.25, evaluated directly
@@ -125,7 +132,7 @@ class TestEntropy:
 
     def test_unknown_user_rejected(self):
         with pytest.raises(KeyError):
-            user_entropy(TrafficTally(), "ghost")
+            entropy_bits(TrafficTally().per_user_visits["ghost"].values())
 
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=30))
     @settings(max_examples=300)
