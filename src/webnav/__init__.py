@@ -9,8 +9,8 @@ over sessions reconstructed from HTTP request logs.
 
 __version__ = "0.1.0"
 
-from .agents import (Back, Forward, ModelParams, StepOutcome, Teleport,
-                     abc_step, bookrank_step, make_agent, pagerank_step)
+from .agents import (BACK, FORWARD, TELEPORT, ModelParams, abc_step,
+                     bookrank_step, make_agent, pagerank_step)
 from .errors import (ConfigurationError, DataError, EmptyDataError,
                      ParseError, ProtocolError, StatisticsError, WebnavError)
 from .graph import WebGraph, generate_scale_free, load_edge_list, write_edge_list
@@ -26,7 +26,7 @@ from .session import (SessionDescriptor, SessionRecorder, TrafficTally,
 
 __all__ = [
     # models
-    "ModelParams", "StepOutcome", "Teleport", "Forward", "Back",
+    "ModelParams", "TELEPORT", "FORWARD", "BACK",
     "make_agent", "pagerank_step", "bookrank_step", "abc_step",
     # graphs
     "WebGraph", "generate_scale_free", "load_edge_list", "write_edge_list",

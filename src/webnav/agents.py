@@ -1,8 +1,9 @@
 """The three navigation models as per-step state machines.
 
 Each step function takes (state, graph, params), mutates the agent state,
-and returns the StepOutcome describing the move. Agent states are confined
-to one worker each; the graph and params are shared read-only.
+and returns the move as a plain (kind, page) tuple, kind one of TELEPORT,
+FORWARD or BACK. Agent states are confined to one worker each; the graph
+and params are shared read-only.
 """
 
 from __future__ import annotations
@@ -11,30 +12,12 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ConfigurationError
 
 TELEPORT = "teleport"
 FORWARD = "forward"
 BACK = "back"
-
-
-class StepOutcome(NamedTuple):
-    kind: str  # TELEPORT | FORWARD | BACK
-    to: int
-
-
-def Teleport(to: int) -> StepOutcome:
-    return StepOutcome(TELEPORT, to)
-
-
-def Forward(to: int) -> StepOutcome:
-    return StepOutcome(FORWARD, to)
-
-
-def Back(to: int) -> StepOutcome:
-    return StepOutcome(BACK, to)
 
 
 @dataclass(frozen=True)
@@ -205,10 +188,6 @@ def make_agent(agent_id: int, master_seed: int, params: ModelParams,
     return AgentState(agent_id, agent_rng(master_seed, agent_id), zipf)
 
 
-def _uniform_node(rng: random.Random, n: int) -> int:
-    return rng.randrange(n)
-
-
 def _uniform_neighbor(state: AgentState, graph) -> int:
     off, nbr = graph.py_adjacency()
     u = state.current
@@ -216,7 +195,7 @@ def _uniform_neighbor(state: AgentState, graph) -> int:
     return nbr[lo + state.rng.randrange(off[u + 1] - lo)]
 
 
-def pagerank_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
+def pagerank_step(state: AgentState, graph, params: ModelParams) -> tuple[str, int]:
     """Memoryless walker: teleport uniformly with p_t, else follow a random link.
 
     A teleport ends the current session. The first step of a fresh agent is
@@ -224,15 +203,15 @@ def pagerank_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
     """
     rng = state.rng
     if state.current is None or rng.random() < params.p_t:
-        v = _uniform_node(rng, graph.n)
+        v = rng.randrange(graph.n)
         state.current = v
-        return Teleport(v)
+        return TELEPORT, v
     v = _uniform_neighbor(state, graph)
     state.current = v
-    return Forward(v)
+    return FORWARD, v
 
 
-def bookrank_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
+def bookrank_step(state: AgentState, graph, params: ModelParams) -> tuple[str, int]:
     """Bookmark walker: teleports go to a rank-selected bookmark.
 
     Every arrival (forward or teleport) increments the target's bookmark
@@ -241,22 +220,22 @@ def bookrank_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
     """
     rng = state.rng
     if state.current is None:
-        v = _uniform_node(rng, graph.n)
+        v = rng.randrange(graph.n)
         state.bookmarks.touch(v)
         state.current = v
-        return Teleport(v)
+        return TELEPORT, v
     if rng.random() < params.p_t:
         v = bookmark_sample(state.bookmarks, params.beta, rng, state.zipf)
         state.bookmarks.touch(v)
         state.current = v
-        return Teleport(v)
+        return TELEPORT, v
     v = _uniform_neighbor(state, graph)
     state.bookmarks.touch(v)
     state.current = v
-    return Forward(v)
+    return FORWARD, v
 
 
-def abc_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
+def abc_step(state: AgentState, graph, params: ModelParams) -> tuple[str, int]:
     """Energy-driven walker with bookmarks, back button, and topical locality.
 
     Teleports happen only when energy is exhausted (E <= 0); they reset the
@@ -270,7 +249,7 @@ def abc_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
     rng = state.rng
     if state.current is None or state.energy <= 0.0:
         if state.current is None:
-            v = _uniform_node(rng, graph.n)
+            v = rng.randrange(graph.n)
         else:
             v = bookmark_sample(state.bookmarks, params.beta, rng, state.zipf)
         state.bookmarks.touch(v)
@@ -279,14 +258,14 @@ def abc_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
         state.history.clear()
         state.session_seen = {v}
         state.session_delta = {v: params.delta0}
-        return Teleport(v)
+        return TELEPORT, v
     if rng.random() < params.p_b:
         state.energy -= params.c_b
         if state.history:
             v = state.history.pop()
             state.current = v
-            return Back(v)
-        return Back(state.current)  # back at the root: cost paid, no move
+            return BACK, v
+        return BACK, state.current  # back at the root: cost paid, no move
     v = _uniform_neighbor(state, graph)
     state.history.append(state.current)
     if v not in state.session_seen:
@@ -299,7 +278,7 @@ def abc_step(state: AgentState, graph, params: ModelParams) -> StepOutcome:
         state.energy -= params.c_f
     state.bookmarks.touch(v)
     state.current = v
-    return Forward(v)
+    return FORWARD, v
 
 
 STEP_FUNCTIONS = {

@@ -219,41 +219,33 @@ class AgentOutput:
 class QueueOutput:
     agents: list            # AgentOutput, in queue order
     tally: TrafficTally     # merged across the queue's agents, no user vectors
-    click_lengths: Counter
 
 
 def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                     params: ModelParams, master_seed: int,
                     zipf: ZipfRankTable, export: bool,
-                    tally: TrafficTally, click_lengths: Counter) -> AgentOutput:
+                    tally: TrafficTally) -> AgentOutput:
     state = make_agent(agent_id, master_seed, params, zipf)
-    lines = [] if export else None
-    if export:
-        clock = [EXPORT_BASE_TIME]
-
-        def on_request(ref, target):
-            clock[0] += 1
-            ref_field = "-" if ref is None else ref
-            lines.append(f"{clock[0]}\t{agent_id}\t{ref_field}\t{target}\n")
-    else:
-        on_request = None
-    recorder = SessionRecorder(agent_id, tally, on_request)
+    requests = [] if export else None
+    recorder = SessionRecorder(agent_id, tally, requests)
     step = STEP_FUNCTIONS[model]
     descriptors = []
     started = 0
     while True:
         outcome = step(state, graph, params)
-        if outcome.kind == TELEPORT:
+        if outcome[0] == TELEPORT:
             if started == quota:
-                closed = recorder.close()
-                descriptors.append(closed)
-                click_lengths[closed.clicks] += 1
+                descriptors.append(recorder.close())
                 break
             started += 1
         closed = recorder.record(outcome)
         if closed is not None:
             descriptors.append(closed)
-            click_lengths[closed.clicks] += 1
+    lines = None
+    if export:
+        lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
+                 f"\t{target}\n"
+                 for i, (ref, target) in enumerate(requests, start=1)]
     visits = tally.per_user_visits.pop(agent_id)
     return AgentOutput(agent_id=agent_id,
                        descriptors=descriptors,
@@ -265,14 +257,13 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                params: ModelParams, master_seed: int, export: bool) -> QueueOutput:
     tally = TrafficTally()
-    click_lengths = Counter()
     zipf = ZipfRankTable(params.beta)
     agents = [
         _simulate_agent(agent_id, quota, model, graph, params, master_seed,
-                        zipf, export, tally, click_lengths)
+                        zipf, export, tally)
         for agent_id, quota in queue
     ]
-    return QueueOutput(agents=agents, tally=tally, click_lengths=click_lengths)
+    return QueueOutput(agents=agents, tally=tally)
 
 
 _POOL_STATE: dict = {}
@@ -345,11 +336,9 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
             outputs = pool.map(_pool_run, work)
 
     tally = TrafficTally()
-    click_lengths = Counter()
     agent_outputs = []
     for out in outputs:
-        tally.merge(out.tally, include_users=False)
-        click_lengths.update(out.click_lengths)
+        tally.merge(out.tally)
         agent_outputs.extend(out.agents)
     agent_outputs.sort(key=lambda a: a.agent_id)
 
@@ -364,7 +353,8 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
 
     return RunResult(config=config, graph_n=graph.n, graph_edges=graph.n_edges,
                      descriptors=descriptors, tally=tally, entropies=entropies,
-                     click_lengths=click_lengths, log_lines=log_lines,
+                     click_lengths=Counter(d.clicks for d in descriptors),
+                     log_lines=log_lines,
                      wall_time=time.perf_counter() - started)
 
 

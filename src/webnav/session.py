@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .agents import BACK, FORWARD, TELEPORT, StepOutcome
+from .agents import BACK, FORWARD, TELEPORT
 from .errors import ProtocolError
 
 
@@ -60,7 +60,7 @@ class TrafficTally:
     """Mergeable accumulator of page, link, and session-start counts.
 
     per_user_visits maps user -> Counter(page -> tallied visits) and backs
-    the entropy descriptor; large runs may skip it (see merge).
+    the entropy descriptor.
     """
 
     __slots__ = ("page_visits", "link_visits", "session_starts", "per_user_visits")
@@ -77,17 +77,16 @@ class TrafficTally:
         except KeyError:
             self.per_user_visits[user] = Counter({page: 1})
 
-    def merge(self, other: "TrafficTally", include_users: bool = True) -> "TrafficTally":
+    def merge(self, other: "TrafficTally") -> "TrafficTally":
         """Key-wise addition of another tally into this one."""
         self.page_visits.update(other.page_visits)
         self.link_visits.update(other.link_visits)
         self.session_starts.update(other.session_starts)
-        if include_users:
-            for user, visits in other.per_user_visits.items():
-                if user in self.per_user_visits:
-                    self.per_user_visits[user].update(visits)
-                else:
-                    self.per_user_visits[user] = Counter(visits)
+        for user, visits in other.per_user_visits.items():
+            if user in self.per_user_visits:
+                self.per_user_visits[user].update(visits)
+            else:
+                self.per_user_visits[user] = Counter(visits)
         return self
 
     def total_sessions(self) -> int:
@@ -132,36 +131,38 @@ def entropy_bits(counts) -> float:
 
 
 class SessionRecorder:
-    """Builds session trees from step outcomes and feeds a TrafficTally.
+    """Builds session trees from (kind, page) steps and feeds a TrafficTally.
 
-    One recorder per user. record() returns the descriptor of the session
-    a Teleport just closed (None otherwise); close() finishes the last
-    session. on_request, when given, is called as on_request(referrer,
-    target) for every click a browser would actually issue: session roots
-    (referrer None) and first visits (referrer = the click's source page).
+    One recorder per user. record() takes a step as the step functions
+    return it, kind one of TELEPORT, FORWARD or BACK, and returns the
+    descriptor of the session a teleport just closed (None otherwise);
+    close() finishes the last session. requests, when given, is a list
+    that gets one (referrer, target) pair appended for every click a
+    browser would actually issue: session roots (referrer None) and first
+    visits (referrer = the click's source page).
     """
 
     __slots__ = ("user", "tally", "tree", "position", "clicks",
-                 "sessions_closed", "on_request")
+                 "sessions_closed", "requests")
 
-    def __init__(self, user, tally: TrafficTally, on_request=None):
+    def __init__(self, user, tally: TrafficTally, requests: list | None = None):
         self.user = user
         self.tally = tally
         self.tree = None
         self.position = None
         self.clicks = 0
         self.sessions_closed = 0
-        self.on_request = on_request
+        self.requests = requests
 
-    def record(self, outcome: StepOutcome) -> SessionDescriptor | None:
-        kind, to = outcome
+    def record(self, step: tuple) -> SessionDescriptor | None:
+        kind, to = step
         if kind == TELEPORT:
             closed = self._close_current() if self.tree is not None else None
             self.tree = open_session(self.tally, self.user, to)
             self.position = to
             self.clicks = 0
-            if self.on_request is not None:
-                self.on_request(None, to)
+            if self.requests is not None:
+                self.requests.append((None, to))
             return closed
         if self.tree is None:
             raise ProtocolError(f"{kind} step before any session start")
@@ -169,8 +170,8 @@ class SessionRecorder:
         if kind == FORWARD:
             src = self.position
             if (follow(self.tally, self.user, self.tree, src, to)
-                    and self.on_request is not None):
-                self.on_request(src, to)
+                    and self.requests is not None):
+                self.requests.append((src, to))
             self.position = to
             return None
         if kind == BACK:

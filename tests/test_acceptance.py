@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from webnav import (Back, Forward, ModelParams, SimConfig, Teleport,
-                    TrafficTally, abc_step, entropy_bits, fit_geometric_ratio,
-                    fit_power_law, generate_scale_free, ks_statistic,
-                    make_agent, parse_log, run_simulation, simulate)
+from webnav import (ModelParams, SimConfig, TrafficTally, abc_step,
+                    entropy_bits, fit_geometric_ratio, fit_power_law,
+                    generate_scale_free, ks_statistic, make_agent, parse_log,
+                    run_simulation, simulate)
 from webnav.agents import BACK, FORWARD, TELEPORT, BookmarkList
 from webnav.ingest import descriptors_from_logs
 from webnav.metrics import zipf_samples
@@ -313,18 +313,18 @@ def test_criterion_10b_energy_monotonicity():
     while checked < 10_000 or ends < 2_000:
         before = state.energy if state.current is not None else None
         seen_before = set(state.session_seen)
-        outcome = abc_step(state, graph, params)
+        kind, to = abc_step(state, graph, params)
         if before is None:
             continue
-        if outcome.kind == TELEPORT:
+        if kind == TELEPORT:
             assert before <= 0.0  # never ends a session early
             ends += 1
         else:
             assert before > 0.0   # never keeps browsing after exhaustion
-            if outcome.kind == BACK:
+            if kind == BACK:
                 assert state.energy < before
                 checked += 1
-            elif outcome.to in seen_before:
+            elif to in seen_before:
                 assert state.energy < before
                 checked += 1
     report(10, "properties/energy-monotonicity", True,
@@ -333,20 +333,20 @@ def test_criterion_10b_energy_monotonicity():
 
 
 def _random_session_ops(rng):
-    """A legal outcome stream for one session on pages 0..19."""
-    ops = [Teleport(rng.randrange(20))]
-    visited = [ops[0].to]
-    position = ops[0].to
+    """A legal (kind, page) step stream for one session on pages 0..19."""
+    position = rng.randrange(20)
+    ops = [(TELEPORT, position)]
+    visited = [position]
     for _ in range(rng.randrange(0, 14)):
         if rng.random() < 0.3 and len(visited) > 1:
             target = visited[rng.randrange(len(visited))]
-            ops.append(Back(target))
+            ops.append((BACK, target))
             position = target
         else:
             target = rng.randrange(20)
             if target == position:
                 target = (target + 1) % 20
-            ops.append(Forward(target))
+            ops.append((FORWARD, target))
             if target not in visited:
                 visited.append(target)
             position = target

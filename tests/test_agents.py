@@ -96,21 +96,21 @@ class TestZipfSampling:
 class TestPageRankStep:
     def test_first_step_is_teleport(self, graph):
         state = make_agent(0, 1, ModelParams())
-        outcome = pagerank_step(state, graph, ModelParams())
-        assert outcome.kind == TELEPORT
-        assert 0 <= outcome.to < graph.n
+        kind, to = pagerank_step(state, graph, ModelParams())
+        assert kind == TELEPORT
+        assert 0 <= to < graph.n
 
     def test_pt_one_always_teleports(self, graph):
         params = ModelParams(p_t=1.0)
         state = make_agent(0, 1, params)
-        kinds = {pagerank_step(state, graph, params).kind for _ in range(200)}
+        kinds = {pagerank_step(state, graph, params)[0] for _ in range(200)}
         assert kinds == {TELEPORT}
 
     def test_pt_zero_never_teleports_after_start(self, graph):
         params = ModelParams(p_t=0.0)
         state = make_agent(0, 1, params)
-        assert pagerank_step(state, graph, params).kind == TELEPORT
-        kinds = {pagerank_step(state, graph, params).kind for _ in range(200)}
+        assert pagerank_step(state, graph, params)[0] == TELEPORT
+        kinds = {pagerank_step(state, graph, params)[0] for _ in range(200)}
         assert kinds == {FORWARD}
 
     def test_forward_goes_to_neighbor(self, graph):
@@ -118,15 +118,15 @@ class TestPageRankStep:
         state = make_agent(0, 1, params)
         pagerank_step(state, graph, params)
         here = state.current
-        outcome = pagerank_step(state, graph, params)
-        assert outcome.to in graph.out_neighbors(here).tolist()
+        _, to = pagerank_step(state, graph, params)
+        assert to in graph.out_neighbors(here).tolist()
 
     def test_teleport_targets_uniform_chi_square(self, graph):
         # chi-square of 10^6 teleport targets over 10^3 nodes should sit
         # within 3 sigma of its df mean (multinomial oracle)
         params = ModelParams(p_t=1.0)
         state = make_agent(5, 11, params)
-        counts = Counter(pagerank_step(state, graph, params).to
+        counts = Counter(pagerank_step(state, graph, params)[1]
                          for _ in range(1_000_000))
         expected = 1_000_000 / graph.n
         chi2 = sum((counts.get(v, 0) - expected) ** 2 / expected
@@ -146,16 +146,16 @@ class TestBookRankStep:
     def test_first_step_bookmarks_start(self, graph):
         params = ModelParams()
         state = make_agent(0, 1, params)
-        outcome = bookrank_step(state, graph, params)
-        assert outcome.kind == TELEPORT
-        assert state.bookmarks.entries() == [(outcome.to, 1)]
+        kind, to = bookrank_step(state, graph, params)
+        assert kind == TELEPORT
+        assert state.bookmarks.entries() == [(to, 1)]
 
     def test_single_bookmark_teleport_returns_it(self, graph):
         params = ModelParams(p_t=1.0)
         state = make_agent(0, 1, params)
-        first = bookrank_step(state, graph, params).to
+        _, first = bookrank_step(state, graph, params)
         for _ in range(50):
-            assert bookrank_step(state, graph, params).to == first
+            assert bookrank_step(state, graph, params)[1] == first
 
     def test_every_arrival_touches_bookmarks(self, graph):
         params = ModelParams()
@@ -201,23 +201,21 @@ class TestAbcStep:
         fwd_params = ModelParams(p_b=0.0, eta=0.0)
         abc_step(state, graph, fwd_params)
         assert state.energy == pytest.approx(0.5)
-        outcome = abc_step(state, graph, params)   # back to root, E -= 0.5
-        assert outcome.kind == BACK
-        assert outcome.to == root
+        step = abc_step(state, graph, params)      # back to root, E -= 0.5
+        assert step == (BACK, root)
         assert state.energy == pytest.approx(0.0)
-        assert abc_step(state, graph, params).kind == TELEPORT
+        assert abc_step(state, graph, params)[0] == TELEPORT
 
     def test_back_at_root_is_costly_no_move(self, graph):
         params = ModelParams(p_b=1.0 - 1e-12, eta=0.0)
         state = make_agent(4, 3, params)
         abc_step(state, graph, params)             # teleport, E = 0.5
         root = state.current
-        outcome = abc_step(state, graph, params)   # back with empty history
-        assert outcome.kind == BACK
-        assert outcome.to == root
+        step = abc_step(state, graph, params)      # back with empty history
+        assert step == (BACK, root)
         assert state.current == root
         assert state.energy == pytest.approx(0.0)
-        assert abc_step(state, graph, params).kind == TELEPORT
+        assert abc_step(state, graph, params)[0] == TELEPORT
 
     def test_revisit_costs_without_gain(self, graph):
         params = ModelParams(p_b=0.0, eta=0.0, e0=10.0)
@@ -226,11 +224,11 @@ class TestAbcStep:
         seen_energy = {state.energy}
         for _ in range(200):
             before = state.energy
-            outcome = abc_step(state, graph, params)
-            if outcome.kind == FORWARD and outcome.to in state.history:
+            kind, to = abc_step(state, graph, params)
+            if kind == FORWARD and to in state.history:
                 pass  # history holds sources, not the novelty signal
             seen_energy.add(state.energy)
-            if outcome.kind == FORWARD and state.energy == pytest.approx(before - 1.0):
+            if kind == FORWARD and state.energy == pytest.approx(before - 1.0):
                 return  # saw a revisit: cost c_f, no delta gain
         pytest.skip("no revisit in 200 steps")
 
@@ -273,18 +271,18 @@ class TestAbcStep:
         for _ in range(3000):
             before = state.energy if state.current is not None else None
             seen_before = set(state.session_seen)
-            outcome = abc_step(state, graph, params)
+            kind, to = abc_step(state, graph, params)
             if before is None:
                 continue
-            if outcome.kind == TELEPORT:
+            if kind == TELEPORT:
                 assert before <= 0.0
                 assert state.energy == params.e0
                 assert state.history == []
             else:
                 assert before > 0.0
-                if outcome.kind == BACK:
+                if kind == BACK:
                     assert state.energy == pytest.approx(before - params.c_b)
-                elif outcome.to in seen_before:
+                elif to in seen_before:
                     assert state.energy == pytest.approx(before - params.c_f)
 
     def test_delta_stays_positive(self, graph):
@@ -298,8 +296,8 @@ class TestAbcStep:
         params = ModelParams()
         state = make_agent(6, 19, params)
         for _ in range(2000):
-            outcome = abc_step(state, graph, params)
-            if outcome.kind == TELEPORT:
+            kind, _ = abc_step(state, graph, params)
+            if kind == TELEPORT:
                 assert state.history == []
             assert all(p in state.session_seen for p in state.history)
 

@@ -7,7 +7,7 @@ import webnav.agents
 import webnav.session
 
 PUBLIC = [
-    "ModelParams", "StepOutcome", "Teleport", "Forward", "Back",
+    "ModelParams", "TELEPORT", "FORWARD", "BACK",
     "make_agent", "pagerank_step", "bookrank_step", "abc_step",
     "WebGraph", "generate_scale_free", "load_edge_list", "write_edge_list",
     "SessionDescriptor", "SessionRecorder", "TrafficTally", "entropy_bits",
@@ -38,7 +38,11 @@ def test_benchmark_probe_names_exist():
     for name in ("make_agent", "ModelParams", "pagerank_step",
                  "bookrank_step", "abc_step"):
         assert callable(getattr(webnav.agents, name)), name
+    graph = webnav.generate_scale_free(50, 2, 2.1, seed=1)
+    params = webnav.agents.ModelParams()
+    state = webnav.agents.make_agent(0, 1, params)
+    step = webnav.agents.pagerank_step(state, graph, params)
     tally = webnav.session.TrafficTally()
     recorder = webnav.session.SessionRecorder(0, tally)
-    recorder.record(webnav.agents.Teleport(3))
-    assert tally.page_visits == {3: 1}
+    recorder.record(step)
+    assert tally.page_visits == {step[1]: 1}

@@ -113,6 +113,8 @@ class TestSimulate:
             config = SimConfig(model="abc", n_agents=12, sessions=20, seed=99,
                                workers=workers)
             result = simulate(config, graph=graph)
+            # per-user vectors become entropies in the workers; none ship
+            assert result.tally.per_user_visits == {}
             snapshot = (result.descriptors, dict(result.tally.page_visits),
                         result.entropies, dict(result.click_lengths))
             if base is None:

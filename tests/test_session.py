@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webnav import Back, Forward, Teleport, TrafficTally, entropy_bits
+from webnav import BACK, FORWARD, TELEPORT, TrafficTally, entropy_bits
 from webnav.errors import ProtocolError
 from webnav.session import SessionRecorder, follow, open_session
 
@@ -24,68 +24,69 @@ def record_all(outcomes, user="u"):
 
 class TestSessionTree:
     def test_chain(self):
-        descs, tally = record_all([Teleport("A"), Forward("B"), Forward("C")])
+        descs, tally = record_all([(TELEPORT, "A"), (FORWARD, "B"), (FORWARD, "C")])
         (d,) = descs
         assert (d.size, d.depth) == (3, 2)
         assert tally.link_visits == {("A", "B"): 1, ("B", "C"): 1}
 
     def test_branch_after_back(self):
         descs, tally = record_all(
-            [Teleport("A"), Forward("B"), Back("A"), Forward("C")])
+            [(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"), (FORWARD, "C")])
         (d,) = descs
         assert (d.size, d.depth) == (3, 1)
         assert tally.link_visits == {("A", "B"): 1, ("A", "C"): 1}
 
     def test_revisit_is_cache_hit(self):
         descs, tally = record_all(
-            [Teleport("A"), Forward("B"), Back("A"), Forward("B")])
+            [(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"), (FORWARD, "B")])
         (d,) = descs
         assert (d.size, d.depth) == (2, 1)
         assert tally.page_visits["B"] == 1
         assert tally.link_visits == {("A", "B"): 1}
 
     def test_singleton_session(self):
-        descs, _ = record_all([Teleport("A")])
+        descs, _ = record_all([(TELEPORT, "A")])
         assert (descs[0].size, descs[0].depth) == (1, 0)
 
     def test_chain_of_k_forwards(self):
         k = 7
-        outcomes = [Teleport(0)] + [Forward(i + 1) for i in range(k)]
+        outcomes = [(TELEPORT, 0)] + [(FORWARD, i + 1) for i in range(k)]
         descs, _ = record_all(outcomes)
         assert (descs[0].size, descs[0].depth) == (k + 1, k)
 
     def test_star_with_backs(self):
         k = 5
-        outcomes = [Teleport(0)]
+        outcomes = [(TELEPORT, 0)]
         for i in range(k):
-            outcomes += [Forward(i + 1), Back(0)]
+            outcomes += [(FORWARD, i + 1), (BACK, 0)]
         descs, _ = record_all(outcomes)
         assert (descs[0].size, descs[0].depth) == (k + 1, 1)
 
     def test_teleport_closes_and_reopens(self):
         descs, tally = record_all(
-            [Teleport("A"), Forward("B"), Teleport("C"), Forward("D")])
+            [(TELEPORT, "A"), (FORWARD, "B"), (TELEPORT, "C"), (FORWARD, "D")])
         assert [d.index for d in descs] == [0, 1]
         assert [d.root for d in descs] == ["A", "C"]
         assert tally.session_starts == {"A": 1, "C": 1}
 
     def test_clicks_counted_per_session(self):
         descs, _ = record_all(
-            [Teleport("A"), Forward("B"), Back("A"), Forward("B"), Teleport("C")])
+            [(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"), (FORWARD, "B"),
+             (TELEPORT, "C")])
         assert [d.clicks for d in descs] == [3, 0]
 
     def test_forward_before_teleport_rejected(self):
         tally = TrafficTally()
         rec = SessionRecorder("u", tally)
         with pytest.raises(ProtocolError):
-            rec.record(Forward("B"))
+            rec.record((FORWARD, "B"))
 
     def test_back_to_unvisited_rejected(self):
         tally = TrafficTally()
         rec = SessionRecorder("u", tally)
-        rec.record(Teleport("A"))
+        rec.record((TELEPORT, "A"))
         with pytest.raises(ProtocolError):
-            rec.record(Back("Z"))
+            rec.record((BACK, "Z"))
 
 
 class TestCacheKernel:
@@ -103,10 +104,9 @@ class TestCacheKernel:
 
     def test_recorder_requests_first_visits_only(self):
         requests = []
-        rec = SessionRecorder("u", TrafficTally(),
-                              lambda ref, to: requests.append((ref, to)))
-        for outcome in [Teleport("A"), Forward("B"), Back("A"), Forward("B"),
-                        Forward("C"), Teleport("A")]:
+        rec = SessionRecorder("u", TrafficTally(), requests)
+        for outcome in [(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"),
+                        (FORWARD, "B"), (FORWARD, "C"), (TELEPORT, "A")]:
             rec.record(outcome)
         assert requests == [(None, "A"), ("A", "B"), ("B", "C"), (None, "A")]
 
@@ -158,14 +158,14 @@ def replay(ops, user="u", tally=None):
     visited = []
     for kind, node in ops:
         if kind == "t":
-            closed = rec.record(Teleport(node))
+            closed = rec.record((TELEPORT, node))
             visited = [node]
             if closed:
                 descs.append(closed)
         else:
             if node == rec.position and len(visited) > 1:
                 node = (node + 1) % 21  # avoid degenerate self-forward
-            rec.record(Forward(node))
+            rec.record((FORWARD, node))
             if node not in visited:
                 visited.append(node)
     descs.append(rec.close())
@@ -233,11 +233,3 @@ class TestTallyMerge:
         b.touch_user("u", "Y")
         a.merge(b)
         assert a.per_user_visits["u"] == Counter({"X": 2, "Y": 1})
-
-    def test_merge_can_skip_user_vectors(self):
-        a, b = TrafficTally(), TrafficTally()
-        b.touch_user("u", "X")
-        b.page_visits["X"] += 1
-        a.merge(b, include_users=False)
-        assert a.page_visits == {"X": 1}
-        assert a.per_user_visits == {}
