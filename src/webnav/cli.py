@@ -30,30 +30,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a navigation model")
     sim.add_argument("--config", help="flat key = value config file")
-    sim.add_argument("--model", choices=["pagerank", "bookrank", "abc"])
-    sim.add_argument("--n", help="nodes in the generated graph")
-    sim.add_argument("--m", help="links added per new node")
-    sim.add_argument("--gamma", help="target degree exponent")
-    sim.add_argument("--graph", help="edge-list file instead of generating")
-    sim.add_argument("--symmetrize", action="store_const", const=True,
-                     help="insert reverse edges when loading --graph")
-    sim.add_argument("--pt", help="teleport probability")
-    sim.add_argument("--beta", help="bookmark rank exponent")
-    sim.add_argument("--pb", help="back-button probability")
-    sim.add_argument("--e0", help="session-start energy")
-    sim.add_argument("--cf", help="forward click cost")
-    sim.add_argument("--cb", help="back click cost")
-    sim.add_argument("--eta", help="topical locality half-width")
-    sim.add_argument("--delta0", help="session-root relevance")
-    sim.add_argument("--agents", help="number of agents")
-    sim.add_argument("--sessions", help="sessions per agent")
-    sim.add_argument("--sessions-file", dest="sessions_file",
-                     help="file with one per-agent session quota per line")
-    sim.add_argument("--seed", help="master RNG seed")
-    sim.add_argument("--workers", help="worker process count")
-    sim.add_argument("--out", help="output directory")
-    sim.add_argument("--export-log", dest="export_log", action="store_const",
-                     const=True, help="write the clicks as a synthetic request log")
+    for key, (_, conv, help_) in _CONFIG_KEYS.items():
+        flag_kind = {"action": "store_const", "const": True} if conv is None else {}
+        sim.add_argument("--" + key.replace("_", "-"), dest=key, help=help_,
+                         **flag_kind)
 
     ing = sub.add_parser("ingest", help="rebuild sessions from a request log")
     ing.add_argument("log", help="TSV request log (timestamp, user, referrer, target)")

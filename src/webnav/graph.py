@@ -7,24 +7,11 @@ read-only and safe to share across any number of concurrent walkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, DataError, ParseError
-
-
-@dataclass(frozen=True)
-class GraphMeta:
-    """How a graph came to be; None fields do not apply to the source."""
-
-    source: str                  # "generated" or a file path
-    gamma_target: float | None = None
-    m: int | None = None
-    seed: int | None = None
-    symmetrized: bool | None = None
 
 
 class WebGraph:
@@ -35,13 +22,12 @@ class WebGraph:
     guaranteed strongly connected.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "meta", "_py_off", "_py_nbr")
+    __slots__ = ("n", "offsets", "neighbors", "_py_off", "_py_nbr")
 
-    def __init__(self, n: int, offsets: np.ndarray, neighbors: np.ndarray, meta: GraphMeta):
+    def __init__(self, n: int, offsets: np.ndarray, neighbors: np.ndarray):
         self.n = int(n)
         self.offsets = offsets
         self.neighbors = neighbors
-        self.meta = meta
         self._py_off = None
         self._py_nbr = None
 
@@ -82,10 +68,10 @@ class WebGraph:
 
     def __getstate__(self):
         # the plain-list cache is rebuilt on demand; never ship it
-        return (self.n, self.offsets, self.neighbors, self.meta)
+        return (self.n, self.offsets, self.neighbors)
 
     def __setstate__(self, state):
-        self.n, self.offsets, self.neighbors, self.meta = state
+        self.n, self.offsets, self.neighbors = state
         self._py_off = None
         self._py_nbr = None
 
@@ -142,8 +128,7 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
             src[pos + 1], dst[pos + 1] = t, i
             pos += 2
     offsets, neighbors = _csr_from_edges(n, src[:pos], dst[:pos])
-    meta = GraphMeta(source="generated", gamma_target=gamma, m=m, seed=seed)
-    return WebGraph(n, offsets, neighbors, meta)
+    return WebGraph(n, offsets, neighbors)
 
 
 def _edge_budget(n: int, m: int) -> int:
@@ -217,8 +202,7 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     remap[members] = np.arange(members.size)
     inside = (remap[u] >= 0) & (remap[v] >= 0)
     offsets, neighbors = _csr_from_edges(members.size, remap[u[inside]], remap[v[inside]])
-    meta = GraphMeta(source=str(path), symmetrized=symmetrize)
-    return WebGraph(members.size, offsets, neighbors, meta)
+    return WebGraph(members.size, offsets, neighbors)
 
 
 def write_edge_list(graph: WebGraph, path) -> None:

@@ -102,12 +102,11 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
 class _LiveSession:
     """A session tree under construction plus its recency bookkeeping."""
 
-    __slots__ = ("sid", "tree", "url_times", "last_activity", "requests")
+    __slots__ = ("sid", "tree", "last_activity", "requests")
 
     def __init__(self, sid: int, tree: SessionTree, t: float):
         self.sid = sid
         self.tree = tree
-        self.url_times = {tree.root: t}
         self.last_activity = t
         self.requests = 0
 
@@ -165,7 +164,7 @@ class Sessionizer:
 
     def _close(self, user, state: _UserState, sess: _LiveSession) -> SessionDescriptor:
         index = state.url_index
-        for url in sess.url_times:
+        for url in sess.tree.depth:
             per_url = index.get(url)
             if per_url is not None:
                 per_url.pop(sess.sid, None)
@@ -192,9 +191,8 @@ class Sessionizer:
         else:
             sess.requests += 1
             follow(self.tally, user, sess.tree, record.referrer, target)
-            # re-requests still refresh recency for future attachments
-            sess.url_times[target] = t
             sess.last_activity = t
+        # re-requests still refresh recency for future attachments
         state.url_index.setdefault(target, {})[sess.sid] = t
 
     def _find_by_referrer(self, state: _UserState, referrer: str, now: float):

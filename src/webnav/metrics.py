@@ -19,13 +19,13 @@ DEFAULT_BIN_RATIO = 10 ** 0.1  # ten bins per decade
 
 
 def _as_array(samples, dtype=None) -> np.ndarray:
-    """Coerce samples to a flat array; a Mapping is read as value -> count."""
+    """Coerce an iterable of numbers (a dict's .values() included) to a flat array."""
     if isinstance(samples, Mapping):
-        values = np.fromiter(samples.keys(), dtype=np.float64, count=len(samples))
-        counts = np.fromiter(samples.values(), dtype=np.int64, count=len(samples))
-        out = np.repeat(values, counts)
-    else:
-        out = np.asarray(samples if not isinstance(samples, set) else list(samples))
+        raise DataError("samples must be numbers, not a mapping; "
+                        "pass its .values()")
+    if not isinstance(samples, (np.ndarray, list, tuple)):
+        samples = list(samples)
+    out = np.asarray(samples)
     return out.astype(dtype) if dtype is not None else out
 
 
@@ -65,12 +65,12 @@ def histogram(samples, ratio: float = DEFAULT_BIN_RATIO) -> LogBinnedHistogram:
     """Bin positive integer samples into geometric bins of the given ratio.
 
     Args:
-        samples: non-empty collection of integers >= 1 (a Mapping is read
-            as value -> multiplicity).
+        samples: non-empty iterable of integers >= 1, such as a list or a
+            tally's .values().
         ratio: bin edge ratio, > 1.
 
     Raises:
-        DataError: empty input or samples < 1.
+        DataError: empty input, samples < 1, or a Mapping.
     """
     x = _as_array(samples)
     if x.size == 0:

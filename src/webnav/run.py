@@ -33,14 +33,14 @@ MANIFEST_NAME = "run_manifest.txt"
 
 MODELS = tuple(STEP_FUNCTIONS)
 
-# metric name -> (raw samples file, has power-law fit, default fit xmin)
+# metric name -> (raw samples file, sample column, power-law fit xmin or None)
 METRIC_FILES = {
-    "page_traffic": ("page_traffic.csv", True, 10),
-    "link_traffic": ("link_traffic.csv", True, 10),
-    "empty_referrer": ("empty_referrer_traffic.csv", True, 1),
-    "session_size": ("sessions.csv", True, 1),
-    "session_depth": ("sessions.csv", True, 1),
-    "entropy": ("entropy.csv", False, None),
+    "page_traffic": ("page_traffic.csv", "count", 10),
+    "link_traffic": ("link_traffic.csv", "count", 10),
+    "empty_referrer": ("empty_referrer_traffic.csv", "count", 1),
+    "session_size": ("sessions.csv", "size", 1),
+    "session_depth": ("sessions.csv", "depth", 1),
+    "entropy": ("entropy.csv", "entropy_bits", None),
 }
 
 
@@ -101,28 +101,32 @@ class SimConfig:
         return quotas
 
 
+# The simulate options, in --help order: config-file key -> (SimConfig or
+# ModelParams attribute, converter or None for a boolean, help). The CLI
+# flag is the key with "-" for "_".
 _CONFIG_KEYS = {
-    "model": ("model", str),
-    "n": ("graph_n", int),
-    "m": ("graph_m", int),
-    "gamma": ("graph_gamma", float),
-    "graph": ("graph_path", str),
-    "symmetrize": ("symmetrize", None),
-    "agents": ("n_agents", int),
-    "sessions": ("sessions", int),
-    "sessions_file": ("sessions_file", str),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "out": ("out_dir", str),
-    "export_log": ("export_log", None),
-    "pt": ("p_t", float),
-    "beta": ("beta", float),
-    "pb": ("p_b", float),
-    "e0": ("e0", float),
-    "cf": ("c_f", float),
-    "cb": ("c_b", float),
-    "eta": ("eta", float),
-    "delta0": ("delta0", float),
+    "model": ("model", str, f"navigation model: {', '.join(MODELS)}"),
+    "n": ("graph_n", int, "nodes in the generated graph"),
+    "m": ("graph_m", int, "links added per new node"),
+    "gamma": ("graph_gamma", float, "target degree exponent"),
+    "graph": ("graph_path", str, "edge-list file instead of generating"),
+    "symmetrize": ("symmetrize", None, "insert reverse edges when loading --graph"),
+    "pt": ("p_t", float, "teleport probability"),
+    "beta": ("beta", float, "bookmark rank exponent"),
+    "pb": ("p_b", float, "back-button probability"),
+    "e0": ("e0", float, "session-start energy"),
+    "cf": ("c_f", float, "forward click cost"),
+    "cb": ("c_b", float, "back click cost"),
+    "eta": ("eta", float, "topical locality half-width"),
+    "delta0": ("delta0", float, "session-root relevance"),
+    "agents": ("n_agents", int, "number of agents"),
+    "sessions": ("sessions", int, "sessions per agent"),
+    "sessions_file": ("sessions_file", str,
+                      "file with one per-agent session quota per line"),
+    "seed": ("seed", int, "master RNG seed"),
+    "workers": ("workers", int, "worker process count"),
+    "out": ("out_dir", str, "output directory"),
+    "export_log": ("export_log", None, "write the clicks as a synthetic request log"),
 }
 
 _PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
@@ -163,7 +167,7 @@ def build_config(options: dict) -> SimConfig:
         if raw is None:
             continue
         try:
-            attr, conv = _CONFIG_KEYS[key]
+            attr, conv, _ = _CONFIG_KEYS[key]
         except KeyError:
             raise ConfigurationError(f"unknown option {key!r}") from None
         if conv is None:
@@ -463,9 +467,6 @@ class RunManifest:
     def __getitem__(self, key: str) -> str:
         return self.values[key]
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
     def metric_file(self, metric: str) -> Path:
         try:
             return self.out_dir / self.values[f"file.{metric}"]
@@ -606,17 +607,8 @@ def _metric_samples(manifest: RunManifest, metric: str):
     path = manifest.metric_file(metric)
     with open(path, "rt", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if metric == "session_size":
-            col = header.index("size")
-        elif metric == "session_depth":
-            col = header.index("depth")
-        elif metric == "entropy":
-            col = header.index("entropy_bits")
-        else:
-            col = header.index("count")
-        cast = float if metric == "entropy" else int
-        return [cast(row[col]) for row in reader]
+        col = next(reader).index(METRIC_FILES[metric][1])
+        return [float(row[col]) for row in reader]
 
 
 def _metric_alpha(manifest: RunManifest, metric: str):
@@ -646,7 +638,7 @@ def compare_runs(manifest_a: RunManifest, manifest_b: RunManifest) -> list[Metri
         b = _metric_samples(manifest_b, metric)
         if not a or not b:
             raise ConfigurationError(f"metric {metric!r} is empty in one run")
-        has_fit = METRIC_FILES[metric][1]
+        has_fit = METRIC_FILES[metric][2] is not None
         rows.append(MetricComparison(
             metric=metric,
             mean_a=sum(a) / len(a),

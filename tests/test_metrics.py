@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,13 @@ class TestHistogram:
         assert hist.total == len(samples)
 
     def test_mapping_input(self):
-        hist = metrics.histogram({1: 2, 2: 1, 4: 1}, ratio=2)
+        # a page -> visits tally must not be read as sample -> multiplicity
+        with pytest.raises(DataError, match=r"\.values\(\)"):
+            metrics.histogram(Counter({1: 2, 2: 1, 4: 1}), ratio=2)
+
+    def test_dict_values_input(self):
+        visits = Counter({"a": 1, "b": 1, "c": 2, "d": 4})
+        hist = metrics.histogram(visits.values(), ratio=2)
         assert hist.counts.tolist() == [2, 1, 1]
 
     def test_empty_rejected(self):

@@ -1,13 +1,29 @@
+import argparse
 import filecmp
+import re
 from pathlib import Path
 
 import pytest
 
 from webnav import (ModelParams, RunManifest, SimConfig, compare_runs,
                     generate_scale_free, run_ingest, run_simulation, simulate)
+from webnav import cli
 from webnav.cli import main
 from webnav.errors import ConfigurationError
-from webnav.run import build_config, parse_config_file, partition_agents
+from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, build_config,
+                        parse_config_file, partition_agents)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# one value per simulate option, each unlike its default
+OPTION_VALUES = {
+    "model": "bookrank", "n": "700", "m": "2", "gamma": "2.5",
+    "graph": "edges.txt", "symmetrize": "true", "pt": "0.3", "beta": "1.5",
+    "pb": "0.25", "e0": "0.75", "cf": "0.5", "cb": "0.25", "eta": "0.05",
+    "delta0": "0.5", "agents": "3", "sessions": "4",
+    "sessions_file": "quotas.txt", "seed": "5", "workers": "2",
+    "out": "elsewhere", "export_log": "true",
+}
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +241,49 @@ class TestCli:
         assert main(["simulate", "--config", str(conf)]) == 0
         manifest = RunManifest.load(out / "run_manifest.txt")
         assert manifest["model"] == "pagerank"
+
+
+class _Captured(Exception):
+    """Carries the SimConfig that `webnav simulate` would have run."""
+
+
+def _cli_config(monkeypatch, argv) -> SimConfig:
+    def capture(config):
+        raise _Captured(config)
+    monkeypatch.setattr(cli, "run_simulation", capture)
+    with pytest.raises(_Captured) as info:
+        main(["simulate", *argv])
+    return info.value.args[0]
+
+
+def _simulate_flags() -> set:
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices["simulate"]._actions
+    return {flag for a in actions for flag in a.option_strings} - {"-h", "--help"}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("key", list(_CONFIG_KEYS))
+    def test_flag_and_config_line_agree(self, key, tmp_path, monkeypatch):
+        attr, conv, _ = _CONFIG_KEYS[key]
+        raw = OPTION_VALUES[key]
+        flag = "--" + key.replace("_", "-")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {raw}\n")
+        by_flag = _cli_config(monkeypatch, [flag] if conv is None else [flag, raw])
+        by_file = _cli_config(monkeypatch, ["--config", str(conf)])
+
+        def read(config):
+            return getattr(config.params if attr in _PARAM_FIELDS else config, attr)
+
+        assert read(by_flag) == read(by_file) != read(SimConfig())
+
+    def test_unknown_model_exits_2(self, tmp_path):
+        assert main(["simulate", "--model", "teleport-only",
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_readme_lists_every_flag(self):
+        listed = re.search(r"Flags: `([^`]*)`", README.read_text()).group(1)
+        assert set(listed.split()) == _simulate_flags() - {"--config"}
