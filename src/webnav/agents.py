@@ -9,9 +9,10 @@ and params are shared read-only.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 
@@ -43,6 +44,10 @@ class ModelParams:
     delta0: float = 1.0
 
     def validate(self) -> "ModelParams":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.p_t <= 1.0:
             raise ConfigurationError(f"p_t must be in [0, 1], got {self.p_t}")
         if not 0.0 <= self.p_b < 1.0:

@@ -7,6 +7,8 @@ read-only and safe to share across any number of concurrent walkers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -78,11 +80,48 @@ class WebGraph:
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
     """Sort directed edges by (src, dst) and build the offset index."""
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    key = src.astype(np.int64) * n + dst
+    key.sort()
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, dst.astype(np.int64)
+    return offsets, key % n
+
+
+# Arrivals evaluated together before the duplicate check, and uniforms drawn
+# from the generator at a time. Neither changes the graph a seed produces.
+_BLOCK = 64
+_CHUNK = 1 << 16
+
+
+class _Uniforms:
+    """The stream of rng.random() doubles, drawn _CHUNK at a time.
+
+    Generator.random(k) yields the same doubles as k scalar random() calls,
+    so chunking leaves the stream unchanged.
+    """
+
+    __slots__ = ("_rng", "_buf", "_at")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf = np.empty(0)
+        self._at = 0
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next k uniforms, without consuming them."""
+        if self._at + k > self._buf.size:
+            fresh = self._rng.random(max(_CHUNK, k))
+            self._buf = np.concatenate((self._buf[self._at:], fresh))
+            self._at = 0
+        return self._buf[self._at:self._at + k]
+
+    def skip(self, k: int) -> None:
+        self._at += k
+
+    def next(self) -> float:
+        u = self.peek(1)[0]
+        self._at += 1
+        return u
 
 
 def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
@@ -95,10 +134,18 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
     targets within one arrival are re-drawn, so adjacency lists carry no
     duplicates and no self-loops, and every node has out-degree >= 1.
 
+    Arrival i draws uniforms u from one rng.random() stream and takes the
+    rank searchsorted(prefix, u * total_i, "right"), re-drawing until it
+    holds min(m, i) distinct targets. Arrivals are evaluated in vectorized
+    blocks over that same stream: a block assumes no re-draw, and the first
+    arrival that needs one runs alone before the next block starts. Every
+    arrival consumes the same uniforms as a one-at-a-time loop would, so
+    the same (n, m, gamma, seed) rebuilds the graph bit-identically.
+
     Args:
         n: number of nodes, >= m + 1.
         m: undirected links added per arriving node, >= 1.
-        gamma: target degree exponent, > 2.
+        gamma: target degree exponent, finite and > 2.
         seed: RNG seed; the same (n, m, gamma, seed) rebuilds the graph
             bit-identically.
     """
@@ -106,36 +153,50 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
         raise ConfigurationError(f"m must be >= 1, got {m}")
     if n <= m:
         raise ConfigurationError(f"need n >= m + 1, got n={n}, m={m}")
-    if gamma <= 2:
-        raise ConfigurationError(f"gamma must exceed 2, got {gamma}")
+    if not 2 < gamma < math.inf:
+        raise ConfigurationError(f"gamma must be finite and exceed 2, got {gamma}")
     a = 1.0 / (gamma - 1.0)
     # prefix[j] = sum of R^-a for ranks R = 1..j+1; when i nodes exist the
     # total attachment weight is prefix[i-1], and rank R maps to node R-1.
+    # Searching the whole prefix finds the same rank as prefix[:i], since
+    # u * prefix[i-1] <= prefix[i-1]; the clamp to i-1 catches equality.
     prefix = np.cumsum(np.arange(1, n, dtype=np.float64) ** (-a))
-    rng = np.random.default_rng(seed)
-    src = np.empty(2 * _edge_budget(n, m), dtype=np.int64)
-    dst = np.empty_like(src)
+    uniforms = _Uniforms(np.random.default_rng(seed))
+    arrivals = np.arange(1, n)
+    links = np.minimum(arrivals, m)
+    dst = np.empty(int(links.sum()), dtype=np.int64)
     pos = 0
-    for i in range(1, n):
+    i = 1
+    while i < n:
+        if i > m:
+            rows = min(_BLOCK, n - i)
+            top = np.arange(i - 1, i - 1 + rows)[:, None]  # highest id per row
+            ranks = np.searchsorted(prefix, uniforms.peek(rows * m).reshape(rows, m)
+                                    * prefix[top], side="right")
+            np.minimum(ranks, top, out=ranks)
+            ranks.sort(axis=1)
+            dup = (ranks[:, 1:] == ranks[:, :-1]).any(axis=1)
+            ok = int(dup.argmax()) if dup.any() else rows
+            dst[pos:pos + ok * m] = ranks[:ok].ravel()
+            uniforms.skip(ok * m)
+            pos += ok * m
+            i += ok
+            if ok == rows:
+                continue
+        # arrivals i <= m, and the first arrival of a block that re-draws
         k = min(m, i)
         total = prefix[i - 1]
         chosen = set()
         while len(chosen) < k:
-            r = int(np.searchsorted(prefix[:i], rng.random() * total, side="right"))
-            chosen.add(min(r, i - 1))  # clamp the u == total rounding corner
-        for t in sorted(chosen):
-            src[pos], dst[pos] = i, t
-            src[pos + 1], dst[pos + 1] = t, i
-            pos += 2
-    offsets, neighbors = _csr_from_edges(n, src[:pos], dst[:pos])
+            r = int(np.searchsorted(prefix, uniforms.next() * total, side="right"))
+            chosen.add(min(r, i - 1))  # clamp the u * total == total corner
+        dst[pos:pos + k] = sorted(chosen)
+        pos += k
+        i += 1
+    src = np.repeat(arrivals, links)
+    offsets, neighbors = _csr_from_edges(n, np.concatenate((src, dst)),
+                                         np.concatenate((dst, src)))
     return WebGraph(n, offsets, neighbors)
-
-
-def _edge_budget(n: int, m: int) -> int:
-    """Undirected edge count of the growth process: sum of min(m, i)."""
-    if n - 1 <= m:
-        return (n - 1) * n // 2
-    return m * (m - 1) // 2 + m * (n - 1 - (m - 1))
 
 
 def load_edge_list(path, symmetrize: bool = False) -> WebGraph:

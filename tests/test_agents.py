@@ -324,6 +324,12 @@ class TestModelParams:
     @pytest.mark.parametrize("bad", [
         {"p_t": -0.1}, {"p_t": 1.5}, {"p_b": 1.0}, {"beta": 0.0},
         {"c_f": -1.0}, {"eta": 1.0}, {"delta0": -0.5},
+        # non-finite values slip past range checks and never end a session
+        {"beta": float("nan")}, {"beta": float("inf")},
+        {"e0": float("nan")}, {"e0": float("inf")}, {"e0": float("-inf")},
+        {"c_f": float("nan")}, {"c_f": float("inf")},
+        {"c_b": float("nan")}, {"c_b": float("inf")},
+        {"delta0": float("nan")}, {"delta0": float("inf")},
     ])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,47 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from webnav import (fit_power_law, generate_scale_free, load_edge_list,
                     write_edge_list)
 from webnav.errors import ConfigurationError, DataError, ParseError
+from webnav.graph import _BLOCK, _csr_from_edges
+
+
+def _reference_csr(n, src, dst):
+    """CSR build by a (src, dst) lexsort; _csr_from_edges must match it."""
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst.astype(np.int64)
+
+
+def _reference_scale_free(n, m, gamma, seed):
+    """Scalar growth loop, one rng.random() and one searchsorted per draw.
+
+    generate_scale_free evaluates arrivals in blocks and must give the same
+    offsets and neighbors as this loop, value for value.
+    """
+    a = 1.0 / (gamma - 1.0)
+    prefix = np.cumsum(np.arange(1, n, dtype=np.float64) ** (-a))
+    rng = np.random.default_rng(seed)
+    src = np.empty(2 * sum(min(m, i) for i in range(1, n)), dtype=np.int64)
+    dst = np.empty_like(src)
+    pos = 0
+    for i in range(1, n):
+        k = min(m, i)
+        total = prefix[i - 1]
+        chosen = set()
+        while len(chosen) < k:
+            r = int(np.searchsorted(prefix[:i], rng.random() * total, side="right"))
+            chosen.add(min(r, i - 1))  # clamp the u == total rounding corner
+        for t in sorted(chosen):
+            src[pos], dst[pos] = i, t
+            src[pos + 1], dst[pos + 1] = t, i
+            pos += 2
+    return _reference_csr(n, src[:pos], dst[:pos])
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +104,44 @@ class TestGenerate:
             generate_scale_free(100, 3, 2.0, seed=1)
         with pytest.raises(ConfigurationError):
             generate_scale_free(100, 0, 2.1, seed=1)
+        # nan passes "gamma <= 2" and then no arrival finds distinct targets
+        for gamma in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                generate_scale_free(100, 3, gamma, seed=1)
+
+    @pytest.mark.parametrize("n, m, gamma, seed", [
+        (4, 1, 2.5, 0),
+        (20, 19, 2.1, 2),             # m >= i for most arrivals
+        (300, 10, 2.05, 3),           # many re-draws
+        (1000, 25, 2.01, 4),
+        (5000, 3, 3.5, 31),
+        (7 * _BLOCK + 13, 2, 2.1, 6),  # n not a multiple of the block size
+    ])
+    def test_matches_scalar_reference(self, n, m, gamma, seed):
+        g = generate_scale_free(n, m, gamma, seed)
+        offsets, neighbors = _reference_scale_free(n, m, gamma, seed)
+        assert g.offsets.dtype == offsets.dtype
+        assert g.neighbors.dtype == neighbors.dtype
+        assert np.array_equal(g.offsets, offsets)
+        assert np.array_equal(g.neighbors, neighbors)
+
+    def test_desk_graph_digest(self):
+        # pinned from the scalar loop, before graph growth was vectorized
+        g = generate_scale_free(100_000, 3, 2.1, seed=1)
+        digest = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes())
+        assert digest.hexdigest() == (
+            "2625b96a2dae39229b1aebc924de344e6c5cb478273d4cce183eaac5759d790d")
+
+    def test_csr_matches_lexsort(self):
+        rng = np.random.default_rng(0)
+        n = 40
+        src = rng.integers(0, n, 3000)  # 3000 draws of 1600 pairs repeat some
+        dst = rng.integers(0, n, 3000)
+        offsets, neighbors = _csr_from_edges(n, src, dst)
+        ref_offsets, ref_neighbors = _reference_csr(n, src, dst)
+        assert np.array_equal(offsets, ref_offsets)
+        assert neighbors.dtype == ref_neighbors.dtype
+        assert np.array_equal(neighbors, ref_neighbors)
 
     def test_out_neighbors_bounds(self, small_graph):
         with pytest.raises(IndexError):

@@ -205,6 +205,10 @@ class TestCli:
         assert main(["simulate", "--model", "abc", "--pt", "3.0",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_finite_param_exits_2(self, tmp_path):
+        assert main(["simulate", "--model", "abc", "--e0", "nan",
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_unreadable_file_exits_3(self, tmp_path):
         assert main(["ingest", str(tmp_path / "missing.log"),
                      "--out", str(tmp_path / "x")]) == 3
