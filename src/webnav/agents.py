@@ -1,9 +1,9 @@
 """The three navigation models as per-step state machines.
 
 Each step function takes (state, graph, params), mutates the agent state,
-and returns the move as a plain (kind, page) tuple, kind one of TELEPORT,
-FORWARD or BACK. Agent states are confined to one worker each; the graph
-and params are shared read-only.
+and returns the move as a plain (kind, page) tuple, kind one of the small
+ints TELEPORT, FORWARD or BACK. Agent states are confined to one worker
+each; the graph and params are shared read-only.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 
-TELEPORT = "teleport"
-FORWARD = "forward"
-BACK = "back"
+# step kinds; compare against these names, never against the numbers
+TELEPORT = 0
+FORWARD = 1
+BACK = 2
+KIND_NAMES = ("teleport", "forward", "back")  # indexed by step kind
 
 
 @dataclass(frozen=True)
@@ -95,60 +97,65 @@ class ZipfRankTable:
         return [(self._cum[r] - self._cum[r - 1]) / total for r in range(1, length + 1)]
 
 
+# A bookmark key packs (-count, first visit) into one int,
+# -count * _COUNT_UNIT + first, so keys sort like the (-count, first) pairs
+# as long as fewer than _COUNT_UNIT pages are ever bookmarked.
+_COUNT_BITS = 40
+_COUNT_UNIT = 1 << _COUNT_BITS
+_FIRST_MASK = _COUNT_UNIT - 1
+
+
 class BookmarkList:
     """Pages ranked by visit count, descending; ties keep first-visit order.
 
-    Stored as parallel lists sorted ascending by the key (-count, first
-    visit sequence), so both lookup and re-ranking after an increment are
-    binary searches plus one list move.
+    Stored as one ascending list of int keys, -count * 2**40 + first, where
+    first is the page's first-visit sequence number and the page itself is
+    pages[first]. Lookup is a binary search; re-ranking after an increment
+    deletes the old key and inserts the new one at its rank.
     """
 
-    __slots__ = ("_pages", "_keys", "_count", "_first", "_next_seq")
+    __slots__ = ("_pages", "_keys", "_key")
 
     def __init__(self):
-        self._pages = []
-        self._keys = []
-        self._count = {}
-        self._first = {}
-        self._next_seq = 0
+        self._pages = []   # first-visit order
+        self._keys = []    # ascending, i.e. rank order
+        self._key = {}     # page -> its current key
 
     def __len__(self) -> int:
         return len(self._pages)
 
     def __contains__(self, page) -> bool:
-        return page in self._count
+        return page in self._key
 
     def page_at_rank(self, rank: int):
         """Page holding 1-based rank."""
-        return self._pages[rank - 1]
+        return self._pages[self._keys[rank - 1] & _FIRST_MASK]
 
     def visits(self, page) -> int:
-        return self._count.get(page, 0)
+        key = self._key.get(page)
+        return 0 if key is None else -(key >> _COUNT_BITS)
 
     def entries(self):
         """(page, visits) pairs in rank order."""
-        return [(p, self._count[p]) for p in self._pages]
+        pages = self._pages
+        return [(pages[k & _FIRST_MASK], -(k >> _COUNT_BITS)) for k in self._keys]
 
     def touch(self, page) -> None:
         """Record one visit: insert with count 1 or bump and re-rank."""
-        c = self._count.get(page)
-        if c is None:
-            # count 1 and the newest first-visit stamp sort last
-            self._count[page] = 1
-            self._first[page] = self._next_seq
-            self._keys.append((-1, self._next_seq))
+        key = self._key.get(page)
+        if key is None:
+            # count 1 and the newest first-visit number sort last
+            key = len(self._pages) - _COUNT_UNIT
+            self._key[page] = key
+            self._keys.append(key)
             self._pages.append(page)
-            self._next_seq += 1
             return
-        f = self._first[page]
-        i = bisect_left(self._keys, (-c, f))
-        self._pages.pop(i)
-        self._keys.pop(i)
-        key = (-(c + 1), f)
-        j = bisect_right(self._keys, key, 0, i)
-        self._pages.insert(j, page)
-        self._keys.insert(j, key)
-        self._count[page] = c + 1
+        keys = self._keys
+        i = bisect_left(keys, key)
+        key -= _COUNT_UNIT
+        del keys[i]
+        keys.insert(bisect_left(keys, key, 0, i), key)
+        self._key[page] = key
 
 
 def bookmark_sample(bookmarks: BookmarkList, beta: float, rng: random.Random,
@@ -194,13 +201,13 @@ def make_agent(agent_id: int, master_seed: int, params: ModelParams,
 
 
 def _uniform_neighbor(state: AgentState, graph) -> int:
-    off, nbr = graph.py_adjacency()
+    off = graph.offsets_view
     u = state.current
     lo = off[u]
-    return nbr[lo + state.rng.randrange(off[u + 1] - lo)]
+    return graph.neighbors_view[lo + state.rng.randrange(off[u + 1] - lo)]
 
 
-def pagerank_step(state: AgentState, graph, params: ModelParams) -> tuple[str, int]:
+def pagerank_step(state: AgentState, graph, params: ModelParams) -> tuple[int, int]:
     """Memoryless walker: teleport uniformly with p_t, else follow a random link.
 
     A teleport ends the current session. The first step of a fresh agent is
@@ -216,7 +223,7 @@ def pagerank_step(state: AgentState, graph, params: ModelParams) -> tuple[str, i
     return FORWARD, v
 
 
-def bookrank_step(state: AgentState, graph, params: ModelParams) -> tuple[str, int]:
+def bookrank_step(state: AgentState, graph, params: ModelParams) -> tuple[int, int]:
     """Bookmark walker: teleports go to a rank-selected bookmark.
 
     Every arrival (forward or teleport) increments the target's bookmark
@@ -240,7 +247,7 @@ def bookrank_step(state: AgentState, graph, params: ModelParams) -> tuple[str, i
     return FORWARD, v
 
 
-def abc_step(state: AgentState, graph, params: ModelParams) -> tuple[str, int]:
+def abc_step(state: AgentState, graph, params: ModelParams) -> tuple[int, int]:
     """Energy-driven walker with bookmarks, back button, and topical locality.
 
     Teleports happen only when energy is exhausted (E <= 0); they reset the

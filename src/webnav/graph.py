@@ -24,14 +24,20 @@ class WebGraph:
     guaranteed strongly connected.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "_py_off", "_py_nbr")
+    __slots__ = ("n", "offsets", "neighbors", "offsets_view", "neighbors_view")
 
     def __init__(self, n: int, offsets: np.ndarray, neighbors: np.ndarray):
         self.n = int(n)
         self.offsets = offsets
         self.neighbors = neighbors
-        self._py_off = None
-        self._py_nbr = None
+        # zero-copy views for scalar loops: indexing one yields a Python int
+        # without numpy's per-item boxing, and forked workers share the pages
+        self.offsets_view = memoryview(offsets)
+        self.neighbors_view = memoryview(neighbors)
+
+    def __reduce__(self):
+        # memoryviews cannot be pickled; the constructor rebuilds them
+        return (WebGraph, (self.n, self.offsets, self.neighbors))
 
     @property
     def n_edges(self) -> int:
@@ -60,22 +66,6 @@ class WebGraph:
         src = np.repeat(np.arange(self.n, dtype=self.neighbors.dtype), self.degrees())
         fwd = {(int(a), int(b)) for a, b in zip(src, self.neighbors)}
         return all((b, a) in fwd for a, b in fwd)
-
-    def py_adjacency(self):
-        """Plain-list (offsets, neighbors) view for tight scalar loops."""
-        if self._py_off is None:
-            self._py_off = self.offsets.tolist()
-            self._py_nbr = self.neighbors.tolist()
-        return self._py_off, self._py_nbr
-
-    def __getstate__(self):
-        # the plain-list cache is rebuilt on demand; never ship it
-        return (self.n, self.offsets, self.neighbors)
-
-    def __setstate__(self, state):
-        self.n, self.offsets, self.neighbors = state
-        self._py_off = None
-        self._py_nbr = None
 
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -113,6 +114,8 @@ class _LiveSession:
 
 @dataclass
 class _UserState:
+    visits: Counter                                 # the user's tally vector
+    last_time: float = -math.inf                    # previous record's timestamp
     next_sid: int = 0
     sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
     url_index: dict = field(default_factory=dict)   # url -> {sid: last request time}
@@ -121,21 +124,30 @@ class _UserState:
 
 
 class Sessionizer:
-    """Streaming session reconstruction; memory scales with live sessions."""
+    """Streaming session reconstruction; memory scales with live sessions.
+
+    out_of_order counts records whose timestamp is below that of their
+    user's previous record. Such records are still assigned as usual.
+    """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT,
                  tally: TrafficTally | None = None):
         self.timeout = float(timeout)
         self.tally = tally if tally is not None else TrafficTally()
+        self.out_of_order = 0
         self._users: dict = {}
 
     def feed(self, record: LogRecord) -> Iterator[SessionDescriptor]:
         """Assign one record; yields descriptors of sessions it expired."""
         state = self._users.get(record.user)
         if state is None:
-            state = self._users[record.user] = _UserState()
+            visits = self.tally.per_user_visits.setdefault(record.user, Counter())
+            state = self._users[record.user] = _UserState(visits)
+        if record.timestamp < state.last_time:
+            self.out_of_order += 1
+        state.last_time = record.timestamp
         yield from self._expire(record.user, state, record.timestamp)
-        self._assign(record.user, state, record)
+        self._assign(state, record)
 
     def finish(self) -> Iterator[SessionDescriptor]:
         """Close every remaining session, ordered by user id then age."""
@@ -175,7 +187,7 @@ class Sessionizer:
         state.closed += 1
         return desc
 
-    def _assign(self, user, state: _UserState, record: LogRecord) -> None:
+    def _assign(self, state: _UserState, record: LogRecord) -> None:
         t = record.timestamp
         target = record.target
         sess = None
@@ -185,12 +197,12 @@ class Sessionizer:
             # empty referrer, unknown referrer, or expired session: new root
             sid = state.next_sid
             state.next_sid += 1
-            sess = _LiveSession(sid, open_session(self.tally, user, target), t)
+            sess = _LiveSession(sid, open_session(self.tally, state.visits, target), t)
             state.sessions[sid] = sess
             heapq.heappush(state.expiry_heap, (t, sid))
         else:
             sess.requests += 1
-            follow(self.tally, user, sess.tree, record.referrer, target)
+            follow(self.tally, state.visits, sess.tree, record.referrer, target)
             sess.last_activity = t
         # re-requests still refresh recency for future attachments
         state.url_index.setdefault(target, {})[sess.sid] = t

@@ -22,7 +22,7 @@ from .agents import (STEP_FUNCTIONS, TELEPORT, ModelParams, ZipfRankTable,
 from .errors import (ConfigurationError, DataError, EmptyDataError,
                      StatisticsError)
 from .graph import WebGraph, generate_scale_free, load_edge_list
-from .ingest import DEFAULT_TIMEOUT, ParseStats, parse_log, sessionize
+from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
 from .session import SessionRecorder, TrafficTally, entropy_bits
@@ -233,18 +233,20 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
     requests = [] if export else None
     recorder = SessionRecorder(agent_id, tally, requests)
     step = STEP_FUNCTIONS[model]
+    record = recorder.record
     descriptors = []
+    keep = descriptors.append
     started = 0
     while True:
         outcome = step(state, graph, params)
         if outcome[0] == TELEPORT:
             if started == quota:
-                descriptors.append(recorder.close())
+                keep(recorder.close())
                 break
             started += 1
-        closed = recorder.record(outcome)
+        closed = record(outcome)
         if closed is not None:
-            descriptors.append(closed)
+            keep(closed)
     lines = None
     if export:
         lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
@@ -563,11 +565,13 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
     started = time.perf_counter()
     stats = ParseStats()
     tally = TrafficTally()
+    sessionizer = Sessionizer(timeout, tally)
     descriptors = []
     with open(log_path, "rt", encoding="utf-8") as fh:
-        records = parse_log(fh, strip_query=strip_query,
-                            page_extensions=page_extensions, stats=stats)
-        descriptors.extend(sessionize(records, timeout, tally))
+        for record in parse_log(fh, strip_query=strip_query,
+                                page_extensions=page_extensions, stats=stats):
+            descriptors.extend(sessionizer.feed(record))
+    descriptors.extend(sessionizer.finish())
     if not descriptors:
         raise EmptyDataError(f"no usable records in {log_path} "
                              f"({stats.skipped} skipped, {stats.filtered} filtered)")
@@ -587,6 +591,7 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
                             if page_extensions else ""),
         "records_parsed": stats.parsed,
         "records_skipped": stats.skipped,
+        "records_out_of_order": sessionizer.out_of_order,
         "records_filtered": stats.filtered,
     }
     result_items = {

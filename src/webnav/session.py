@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .agents import BACK, FORWARD, TELEPORT
+from .agents import BACK, FORWARD, KIND_NAMES, TELEPORT
 from .errors import ProtocolError
 
 
@@ -71,12 +71,6 @@ class TrafficTally:
         self.session_starts = Counter()
         self.per_user_visits = {}
 
-    def touch_user(self, user, page) -> None:
-        try:
-            self.per_user_visits[user][page] += 1
-        except KeyError:
-            self.per_user_visits[user] = Counter({page: 1})
-
     def merge(self, other: "TrafficTally") -> "TrafficTally":
         """Key-wise addition of another tally into this one."""
         self.page_visits.update(other.page_visits)
@@ -93,26 +87,36 @@ class TrafficTally:
         return sum(self.session_starts.values())
 
 
-def open_session(tally: TrafficTally, user, root) -> SessionTree:
-    """Start a session tree at root and tally its empty-referrer request."""
-    tally.session_starts[root] += 1
-    tally.page_visits[root] += 1
-    tally.touch_user(user, root)
+def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
+    """Start a session tree at root and tally its empty-referrer request.
+
+    visits is the user's Counter in tally.per_user_visits.
+    """
+    # d[k] = d.get(k, 0) + 1 counts without Counter.__missing__ on new keys
+    starts = tally.session_starts
+    starts[root] = starts.get(root, 0) + 1
+    pages = tally.page_visits
+    pages[root] = pages.get(root, 0) + 1
+    visits[root] = visits.get(root, 0) + 1
     return SessionTree(root)
 
 
-def follow(tally: TrafficTally, user, tree: SessionTree, src, dst) -> bool:
+def follow(tally: TrafficTally, visits: Counter, tree: SessionTree, src, dst) -> bool:
     """Apply the click src -> dst to tree; True only on dst's first visit.
 
     A first visit grows the tree and tallies the page and the link; a
-    page already in the tree is a cache hit and changes nothing.
+    page already in the tree is a cache hit and changes nothing. visits
+    is the user's Counter in tally.per_user_visits.
     """
-    if dst in tree:
+    if dst in tree.depth:
         return False
     tree.add_edge(src, dst)
-    tally.page_visits[dst] += 1
-    tally.link_visits[(src, dst)] += 1
-    tally.touch_user(user, dst)
+    pages = tally.page_visits
+    pages[dst] = pages.get(dst, 0) + 1
+    links = tally.link_visits
+    link = (src, dst)
+    links[link] = links.get(link, 0) + 1
+    visits[dst] = visits.get(dst, 0) + 1
     return True
 
 
@@ -133,7 +137,9 @@ def entropy_bits(counts) -> float:
 class SessionRecorder:
     """Builds session trees from (kind, page) steps and feeds a TrafficTally.
 
-    One recorder per user. record() takes a step as the step functions
+    One recorder per user; it counts into the user's visit Counter in
+    tally.per_user_visits, made at construction when the tally has none.
+    record() takes a step as the step functions
     return it, kind one of TELEPORT, FORWARD or BACK, and returns the
     descriptor of the session a teleport just closed (None otherwise);
     close() finishes the last session. requests, when given, is a list
@@ -142,12 +148,13 @@ class SessionRecorder:
     visits (referrer = the click's source page).
     """
 
-    __slots__ = ("user", "tally", "tree", "position", "clicks",
+    __slots__ = ("user", "tally", "visits", "tree", "position", "clicks",
                  "sessions_closed", "requests")
 
     def __init__(self, user, tally: TrafficTally, requests: list | None = None):
         self.user = user
         self.tally = tally
+        self.visits = tally.per_user_visits.setdefault(user, Counter())
         self.tree = None
         self.position = None
         self.clicks = 0
@@ -156,31 +163,33 @@ class SessionRecorder:
 
     def record(self, step: tuple) -> SessionDescriptor | None:
         kind, to = step
+        tree = self.tree
+        if kind == FORWARD and tree is not None:  # the most common step first
+            self.clicks += 1
+            src = self.position
+            if (follow(self.tally, self.visits, tree, src, to)
+                    and self.requests is not None):
+                self.requests.append((src, to))
+            self.position = to
+            return None
         if kind == TELEPORT:
-            closed = self._close_current() if self.tree is not None else None
-            self.tree = open_session(self.tally, self.user, to)
+            closed = self._close_current() if tree is not None else None
+            self.tree = open_session(self.tally, self.visits, to)
             self.position = to
             self.clicks = 0
             if self.requests is not None:
                 self.requests.append((None, to))
             return closed
-        if self.tree is None:
-            raise ProtocolError(f"{kind} step before any session start")
+        if kind != FORWARD and kind != BACK:
+            raise ProtocolError(f"unknown outcome kind {kind!r}")
+        if tree is None:
+            raise ProtocolError(f"{KIND_NAMES[kind]} step before any session start")
         self.clicks += 1
-        if kind == FORWARD:
-            src = self.position
-            if (follow(self.tally, self.user, self.tree, src, to)
-                    and self.requests is not None):
-                self.requests.append((src, to))
-            self.position = to
-            return None
-        if kind == BACK:
-            # back targets were visited this session; cache serves them
-            if to not in self.tree:
-                raise ProtocolError(f"back to {to!r}, never visited this session")
-            self.position = to
-            return None
-        raise ProtocolError(f"unknown outcome kind {kind!r}")
+        # back targets were visited this session; cache serves them
+        if to not in tree:
+            raise ProtocolError(f"back to {to!r}, never visited this session")
+        self.position = to
+        return None
 
     def close(self) -> SessionDescriptor:
         """Close the in-flight session at end of run."""

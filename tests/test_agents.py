@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
@@ -24,6 +25,49 @@ def build_list(pages):
     for p in pages:
         bl.touch(p)
     return bl
+
+
+class _ReferenceBookmarks:
+    """Two parallel lists sorted by (-count, first visit): pop and insert.
+
+    BookmarkList keeps one list of packed int keys and must rank every
+    page as this does.
+    """
+
+    def __init__(self):
+        self._pages = []
+        self._keys = []
+        self._count = {}
+        self._first = {}
+        self._next_seq = 0
+
+    def __len__(self):
+        return len(self._pages)
+
+    def page_at_rank(self, rank):
+        return self._pages[rank - 1]
+
+    def entries(self):
+        return [(p, self._count[p]) for p in self._pages]
+
+    def touch(self, page):
+        c = self._count.get(page)
+        if c is None:
+            self._count[page] = 1
+            self._first[page] = self._next_seq
+            self._keys.append((-1, self._next_seq))
+            self._pages.append(page)
+            self._next_seq += 1
+            return
+        f = self._first[page]
+        i = bisect_left(self._keys, (-c, f))
+        self._pages.pop(i)
+        self._keys.pop(i)
+        key = (-(c + 1), f)
+        j = bisect_right(self._keys, key, 0, i)
+        self._pages.insert(j, page)
+        self._keys.insert(j, key)
+        self._count[page] = c + 1
 
 
 class TestBookmarkList:
@@ -53,6 +97,32 @@ class TestBookmarkList:
         for (p1, c1), (p2, c2) in zip(entries, entries[1:]):
             if c1 == c2:
                 assert firsts[p1] < firsts[p2]
+
+    @pytest.mark.parametrize("pages,touches,seed", [
+        (5, 20_000, 0),        # heavy ties, counts in the thousands
+        (40, 40_000, 1),
+        (2_000, 30_000, 2),    # a long tail of count-1 and count-2 pages
+    ])
+    @pytest.mark.parametrize("as_str", [False, True], ids=["int", "str"])
+    def test_matches_reference(self, pages, touches, seed, as_str):
+        rng = random.Random(seed)
+        names = [f"p{i}" for i in range(pages)] if as_str else list(range(pages))
+        bl, ref = BookmarkList(), _ReferenceBookmarks()
+        for step in range(touches):
+            # skewed draws keep a few pages far ahead and many tied behind
+            page = names[min(int(rng.paretovariate(0.8)) - 1, pages - 1)
+                         if step % 2 else rng.randrange(pages)]
+            bl.touch(page)
+            ref.touch(page)
+            if step % 997 == 0:
+                assert bl.entries() == ref.entries()
+        assert len(bl) == len(ref)
+        assert bl.entries() == ref.entries()
+        assert [bl.page_at_rank(r) for r in range(1, len(bl) + 1)] == \
+            [ref.page_at_rank(r) for r in range(1, len(ref) + 1)]
+        assert max(c for _, c in bl.entries()) >= 1000
+        assert all(bl.visits(p) == c for p, c in ref.entries())
+        assert bl.visits("absent") == 0 and "absent" not in bl
 
 
 class TestZipfSampling:

@@ -1,10 +1,11 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
-from webnav import (fit_power_law, generate_scale_free, load_edge_list,
-                    write_edge_list)
+from webnav import (ModelParams, fit_power_law, generate_scale_free,
+                    load_edge_list, make_agent, pagerank_step, write_edge_list)
 from webnav.errors import ConfigurationError, DataError, ParseError
 from webnav.graph import _BLOCK, _csr_from_edges
 
@@ -142,6 +143,25 @@ class TestGenerate:
         assert np.array_equal(offsets, ref_offsets)
         assert neighbors.dtype == ref_neighbors.dtype
         assert np.array_equal(neighbors, ref_neighbors)
+
+    def test_pickle_round_trip(self, small_graph):
+        g = small_graph
+        copy = pickle.loads(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
+        assert copy.n == g.n
+        assert copy.offsets.dtype == g.offsets.dtype
+        assert copy.neighbors.dtype == g.neighbors.dtype
+        assert np.array_equal(copy.offsets, g.offsets)
+        assert np.array_equal(copy.neighbors, g.neighbors)
+        assert copy.neighbors_view.tolist() == g.neighbors.tolist()
+        params = ModelParams()
+        walkers = []
+        for graph in (g, copy):
+            state = make_agent(0, 5, params)
+            for _ in range(10_000):
+                pagerank_step(state, graph, params)
+            walkers.append(state)
+        assert walkers[0].current == walkers[1].current
+        assert walkers[0].rng.getstate() == walkers[1].rng.getstate()
 
     def test_out_neighbors_bounds(self, small_graph):
         with pytest.raises(IndexError):

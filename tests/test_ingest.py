@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 
 from webnav import (ModelParams, SimConfig, TrafficTally, descriptors_from_logs,
-                    entropy_bits, generate_scale_free, parse_log, sessionize,
-                    simulate)
-from webnav.ingest import LogRecord, ParseStats
+                    entropy_bits, generate_scale_free, parse_log, run_ingest,
+                    sessionize, simulate)
+from webnav.ingest import LogRecord, ParseStats, Sessionizer
 
 
 def records(*rows):
@@ -141,10 +141,31 @@ class TestSessionize:
 
     def test_non_monotone_timestamps_accepted(self):
         # interleaved collection can deliver a user's requests out of order
-        descs, _ = run_sessionize(records(
-            (100, "u", None, "A"), (50, "u", "A", "B"), (120, "u", "B", "C")))
+        recs = records(
+            (100, "u", None, "A"), (50, "u", "A", "B"), (120, "u", "B", "C"))
+        descs, _ = run_sessionize(recs)
         (d,) = descs
         assert d.size == 3
+        worker = Sessionizer()
+        for rec in recs:
+            list(worker.feed(rec))
+        assert worker.out_of_order == 1
+
+    def test_out_of_order_is_per_user(self):
+        worker = Sessionizer()
+        for rec in records((100, "u", None, "A"), (50, "v", None, "A"),
+                           (100, "u", "A", "B"), (60, "v", "A", "B"),
+                           (40, "v", "B", "C"), (45, "v", "C", "D")):
+            list(worker.feed(rec))
+        # u's repeated 100 is no regression; v's 40 after 60 is, 45 after 40 not
+        assert worker.out_of_order == 1
+
+    def test_ingest_manifest_counts_out_of_order(self, tmp_path):
+        log = tmp_path / "requests.log"
+        log.write_text("100\tu\t-\tA\n50\tu\tA\tB\n120\tu\tB\tC\n")
+        manifest = run_ingest(log, tmp_path / "out")
+        assert manifest["records_out_of_order"] == "1"
+        assert manifest["records_skipped"] == "0"
 
     def test_every_record_lands_in_exactly_one_session(self):
         recs = records(

@@ -190,6 +190,7 @@ class TestRunSimulation:
         assert ing["mean_session_size"] == manifest["mean_session_size"]
         assert ing["mean_session_depth"] == manifest["mean_session_depth"]
         assert ing["mean_user_entropy"] == manifest["mean_user_entropy"]
+        assert ing["records_out_of_order"] == "0"
 
 
 class TestCli:

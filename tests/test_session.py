@@ -78,29 +78,47 @@ class TestSessionTree:
     def test_forward_before_teleport_rejected(self):
         tally = TrafficTally()
         rec = SessionRecorder("u", tally)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="^forward step before any session start"):
             rec.record((FORWARD, "B"))
+        with pytest.raises(ProtocolError, match="^back step before any session start"):
+            rec.record((BACK, "B"))
 
     def test_back_to_unvisited_rejected(self):
         tally = TrafficTally()
         rec = SessionRecorder("u", tally)
         rec.record((TELEPORT, "A"))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="back to 'Z', never visited"):
             rec.record((BACK, "Z"))
 
 
 class TestCacheKernel:
     def test_follow_tallies_first_visit_only(self):
         tally = TrafficTally()
-        tree = open_session(tally, "u", "A")
-        assert follow(tally, "u", tree, "A", "B") is True
-        assert follow(tally, "u", tree, "A", "B") is False  # cache hit
-        assert follow(tally, "u", tree, "B", "A") is False  # the root is cached too
+        visits = tally.per_user_visits["u"] = Counter()
+        tree = open_session(tally, visits, "A")
+        assert follow(tally, visits, tree, "A", "B") is True
+        assert follow(tally, visits, tree, "A", "B") is False  # cache hit
+        assert follow(tally, visits, tree, "B", "A") is False  # the root is cached too
         assert (tree.size, tree.max_depth) == (2, 1)
         assert tally.page_visits == {"A": 1, "B": 1}
         assert tally.link_visits == {("A", "B"): 1}
         assert tally.session_starts == {"A": 1}
         assert tally.per_user_visits == {"u": Counter({"A": 1, "B": 1})}
+
+    def test_recorder_counts_into_its_users_vector(self):
+        tally = TrafficTally()
+        a, b = SessionRecorder("a", tally), SessionRecorder("b", tally)
+        assert a.visits is tally.per_user_visits["a"]
+        for outcome in [(TELEPORT, "A"), (FORWARD, "B"), (TELEPORT, "A")]:
+            a.record(outcome)
+        b.record((TELEPORT, "B"))
+        assert tally.per_user_visits == {"a": Counter({"A": 2, "B": 1}),
+                                         "b": Counter({"B": 1})}
+
+    def test_unknown_kind_rejected(self):
+        rec = SessionRecorder("u", TrafficTally())
+        with pytest.raises(ProtocolError, match="unknown outcome kind 'forward'"):
+            rec.record(("forward", "A"))
 
     def test_recorder_requests_first_visits_only(self):
         requests = []
@@ -114,14 +132,17 @@ class TestCacheKernel:
 class TestEntropy:
     def test_single_page_zero(self):
         tally = TrafficTally()
+        visits = tally.per_user_visits["u"] = Counter()
         for _ in range(5):
-            tally.touch_user("u", "A")
+            open_session(tally, visits, "A")
         assert entropy_bits(tally.per_user_visits["u"].values()) == 0.0
 
     def test_four_equal_pages_two_bits(self):
         tally = TrafficTally()
-        for page in "ABCD":
-            tally.touch_user("u", page)
+        visits = tally.per_user_visits["u"] = Counter()
+        tree = open_session(tally, visits, "A")
+        for page in "BCD":
+            follow(tally, visits, tree, "A", page)
         assert entropy_bits(tally.per_user_visits["u"].values()) == pytest.approx(2.0)
 
     def test_three_one_split(self):
@@ -228,8 +249,8 @@ class TestTallyMerge:
 
     def test_merge_sums_shared_users(self):
         a, b = TrafficTally(), TrafficTally()
-        a.touch_user("u", "X")
-        b.touch_user("u", "X")
-        b.touch_user("u", "Y")
+        open_session(a, a.per_user_visits.setdefault("u", Counter()), "X")
+        b_visits = b.per_user_visits.setdefault("u", Counter())
+        follow(b, b_visits, open_session(b, b_visits, "X"), "X", "Y")
         a.merge(b)
         assert a.per_user_visits["u"] == Counter({"X": 2, "Y": 1})
