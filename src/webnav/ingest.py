@@ -35,11 +35,22 @@ class LogRecord(NamedTuple):
     target: str
 
 
+# Why parse_log skipped a line, in the order its checks run.
+SKIP_REASONS = ("field_count", "timestamp_not_number", "timestamp_non_finite",
+                "timestamp_negative", "empty_user_or_target")
+
+
 @dataclass
 class ParseStats:
     parsed: int = 0
-    skipped: int = 0    # malformed lines, non-finite or negative timestamps
     filtered: int = 0   # dropped by the extension allowlist
+    skipped_by_reason: dict = field(
+        default_factory=lambda: dict.fromkeys(SKIP_REASONS, 0))
+
+    @property
+    def skipped(self) -> int:
+        """Malformed lines: the sum over SKIP_REASONS."""
+        return sum(self.skipped_by_reason.values())
 
 
 def _strip_query(url: str) -> str:
@@ -62,30 +73,32 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
     Each line holds timestamp, user id, referrer, target separated by
     tabs; '-' (or an empty field) marks a missing referrer. Malformed
     lines, including non-finite or negative timestamps, are skipped and
-    counted in stats. With strip_query, everything from '?' on is removed
-    from both URLs; with page_extensions, records whose target carries a
-    file extension outside the set are dropped.
+    counted in stats, by reason (SKIP_REASONS). With strip_query,
+    everything from '?' on is removed from both URLs; with
+    page_extensions, records whose target carries a file extension outside
+    the set are dropped.
     """
     if stats is None:
         stats = ParseStats()
     exts = frozenset(e.lower().lstrip(".") for e in page_extensions) if page_extensions else None
+    skipped = stats.skipped_by_reason
     for line in lines:
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != LOG_FIELD_COUNT:
-            stats.skipped += 1
+            skipped["field_count"] += 1
             continue
         ts_raw, user, referrer, target = parts
         try:
             ts = float(ts_raw)
         except ValueError:
-            stats.skipped += 1
+            skipped["timestamp_not_number"] += 1
             continue
         if (not math.isfinite(ts) or ts < 0 or not user or not target
                 or target == EMPTY_REFERRER):
-            stats.skipped += 1
+            skipped[_invalid_field(ts)] += 1
             continue
         if referrer in ("", EMPTY_REFERRER):
             ref = None
@@ -98,6 +111,13 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
             continue
         stats.parsed += 1
         yield LogRecord(ts, user, ref, target)
+
+
+def _invalid_field(ts: float) -> str:
+    """Skip reason of a line whose fields split and whose timestamp parsed."""
+    if not math.isfinite(ts):
+        return "timestamp_non_finite"
+    return "timestamp_negative" if ts < 0 else "empty_user_or_target"
 
 
 class _LiveSession:
@@ -118,7 +138,8 @@ class _UserState:
     last_time: float = -math.inf                    # previous record's timestamp
     next_sid: int = 0
     sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
-    url_index: dict = field(default_factory=dict)   # url -> {sid: last request time}
+    # url -> {sid: last request time}, each kept in (time, sid) order
+    url_index: dict = field(default_factory=dict)
     expiry_heap: list = field(default_factory=list)
     closed: int = 0
 
@@ -127,7 +148,8 @@ class Sessionizer:
     """Streaming session reconstruction; memory scales with live sessions.
 
     out_of_order counts records whose timestamp is below that of their
-    user's previous record. Such records are still assigned as usual.
+    user's previous record. Such records are still assigned as usual, but
+    never move their session's last activity backwards.
     """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT,
@@ -137,17 +159,22 @@ class Sessionizer:
         self.out_of_order = 0
         self._users: dict = {}
 
-    def feed(self, record: LogRecord) -> Iterator[SessionDescriptor]:
-        """Assign one record; yields descriptors of sessions it expired."""
+    def feed(self, record: LogRecord) -> list[SessionDescriptor]:
+        """Assign one record; returns descriptors of the sessions it expired."""
         state = self._users.get(record.user)
         if state is None:
             visits = self.tally.per_user_visits.setdefault(record.user, Counter())
             state = self._users[record.user] = _UserState(visits)
-        if record.timestamp < state.last_time:
+        t = record.timestamp
+        if t < state.last_time:
             self.out_of_order += 1
-        state.last_time = record.timestamp
-        yield from self._expire(record.user, state, record.timestamp)
+        state.last_time = t
+        heap = state.expiry_heap
+        deadline = t - self.timeout
+        expired = (self._expire(record.user, state, deadline)
+                   if heap and heap[0][0] < deadline else [])
         self._assign(state, record)
+        return expired
 
     def finish(self) -> Iterator[SessionDescriptor]:
         """Close every remaining session, ordered by user id then age."""
@@ -159,20 +186,25 @@ class Sessionizer:
             state.url_index.clear()
         self._users.clear()
 
-    def _expire(self, user, state: _UserState, now: float) -> Iterator[SessionDescriptor]:
-        deadline = now - self.timeout
+    def _expire(self, user, state: _UserState,
+                deadline: float) -> list[SessionDescriptor]:
+        """Close the sessions last active before deadline.
+
+        Each live session has one heap entry, keyed at or below its last
+        activity, so afterwards no session idle past deadline is left.
+        """
+        closed = []
         heap = state.expiry_heap
         while heap and heap[0][0] < deadline:
             t, sid = heapq.heappop(heap)
-            sess = state.sessions.get(sid)
-            if sess is None:
-                continue
+            sess = state.sessions[sid]
             if sess.last_activity < deadline:
-                yield self._close(user, state, sess)
+                closed.append(self._close(user, state, sess))
                 del state.sessions[sid]
             else:
                 # got activity since the entry was queued; fire later
                 heapq.heappush(heap, (sess.last_activity, sid))
+        return closed
 
     def _close(self, user, state: _UserState, sess: _LiveSession) -> SessionDescriptor:
         index = state.url_index
@@ -192,47 +224,53 @@ class Sessionizer:
         target = record.target
         sess = None
         if record.referrer is not None:
-            sess = self._find_by_referrer(state, record.referrer, t)
+            sess = self._find_by_referrer(state, record.referrer)
         if sess is None:
-            # empty referrer, unknown referrer, or expired session: new root
+            # empty referrer, or one no live session requested: new root
             sid = state.next_sid
             state.next_sid += 1
             sess = _LiveSession(sid, open_session(self.tally, state.visits, target), t)
             state.sessions[sid] = sess
             heapq.heappush(state.expiry_heap, (t, sid))
         else:
+            sid = sess.sid
             sess.requests += 1
             follow(self.tally, state.visits, sess.tree, record.referrer, target)
-            sess.last_activity = t
+            if t > sess.last_activity:
+                sess.last_activity = t
         # re-requests still refresh recency for future attachments
-        state.url_index.setdefault(target, {})[sess.sid] = t
+        index = state.url_index
+        per_url = index.get(target)
+        if per_url is None:
+            index[target] = {sid: t}
+            return
+        per_url.pop(sid, None)
+        last = next(reversed(per_url), None)
+        per_url[sid] = t
+        if last is not None:
+            # appending kept (time, sid) order unless this write landed below
+            # the last entry: a same-time tie won by an older session, or a
+            # regressed timestamp
+            last_t = per_url[last]
+            if t < last_t or (t == last_t and sid < last):
+                index[target] = dict(sorted(per_url.items(), key=_time_then_sid))
 
-    def _find_by_referrer(self, state: _UserState, referrer: str, now: float):
+    @staticmethod
+    def _find_by_referrer(state: _UserState, referrer: str):
         """Live session in which the referrer was most recently requested.
 
-        Ties on request time break toward the most recently created
-        session (larger sid). Dead entries found on the way are pruned.
+        url_index keeps each url's entries in (request time, sid) order, so
+        the last entry wins, and ties on request time go to the most
+        recently created session. Every indexed session is live: _expire
+        has just closed and de-indexed those idle past the deadline.
         """
         per_url = state.url_index.get(referrer)
-        if not per_url:
-            return None
-        deadline = now - self.timeout
-        best = None
-        best_key = None
-        dead = []
-        for sid, t in per_url.items():
-            sess = state.sessions.get(sid)
-            if sess is None or sess.last_activity < deadline:
-                dead.append(sid)
-                continue
-            key = (t, sid)
-            if best_key is None or key > best_key:
-                best, best_key = sess, key
-        for sid in dead:
-            del per_url[sid]
-        if not per_url:
-            del state.url_index[referrer]
-        return best
+        return None if per_url is None else state.sessions[next(reversed(per_url))]
+
+
+def _time_then_sid(entry):
+    sid, t = entry
+    return t, sid
 
 
 def sessionize(records: Iterable[LogRecord], timeout: float = DEFAULT_TIMEOUT,

@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -382,7 +383,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_counter_csv(path, header, counter, split_key=False):
-    items = sorted(counter.items())
+    items = sorted(counter.items(), key=itemgetter(0))  # keys are unique: same rows
     if split_key:
         rows = [(a, b, c) for (a, b), c in items]
     else:
@@ -591,6 +592,8 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
                             if page_extensions else ""),
         "records_parsed": stats.parsed,
         "records_skipped": stats.skipped,
+        **{f"records_skipped.{reason}": n
+           for reason, n in stats.skipped_by_reason.items()},
         "records_out_of_order": sessionizer.out_of_order,
         "records_filtered": stats.filtered,
     }

@@ -1,11 +1,16 @@
+import heapq
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webnav import (ModelParams, SimConfig, TrafficTally, descriptors_from_logs,
                     entropy_bits, generate_scale_free, parse_log, run_ingest,
                     sessionize, simulate)
-from webnav.ingest import LogRecord, ParseStats, Sessionizer
+from webnav.ingest import (SKIP_REASONS, LogRecord, ParseStats, Sessionizer,
+                           _LiveSession, _UserState)
+from webnav.session import SessionDescriptor, follow, open_session
 
 
 def records(*rows):
@@ -35,6 +40,7 @@ class TestParseLog:
         out = list(parse_log(["1\tu\tx\n", "2\tu\t-\ty\n"], stats=stats))
         assert len(out) == 1
         assert stats.skipped == 1
+        assert stats.skipped_by_reason["field_count"] == 1
         assert stats.parsed == 1
 
     def test_bad_timestamp_dropped(self):
@@ -45,6 +51,26 @@ class TestParseLog:
         assert list(parse_log(lines, stats=stats)) == []
         assert stats.skipped == len(stamps)
         assert stats.parsed == 0
+
+    @pytest.mark.parametrize("line, reason", [
+        ("1\tu\tx\n", "field_count"),
+        ("1\tu\t-\tx\textra\n", "field_count"),
+        ("soon\tu\t-\tx\n", "timestamp_not_number"),
+        ("\tu\t-\tx\n", "timestamp_not_number"),
+        ("nan\tu\t-\tx\n", "timestamp_non_finite"),
+        ("-inf\tu\t-\tx\n", "timestamp_non_finite"),
+        ("1e400\tu\t-\tx\n", "timestamp_non_finite"),
+        ("-1\tu\t-\tx\n", "timestamp_negative"),
+        ("1\t\t-\tx\n", "empty_user_or_target"),
+        ("1\tu\t-\t\n", "empty_user_or_target"),
+        ("1\tu\tx\t-\n", "empty_user_or_target"),
+    ])
+    def test_skip_counted_by_reason(self, line, reason):
+        stats = ParseStats()
+        assert list(parse_log(["0\tu\t-\tok\n", line], stats=stats)) == [
+            LogRecord(0.0, "u", None, "ok")]
+        assert stats.skipped_by_reason == {r: int(r == reason) for r in SKIP_REASONS}
+        assert stats.skipped == 1
 
     def test_extension_allowlist(self):
         stats = ParseStats()
@@ -167,6 +193,36 @@ class TestSessionize:
         assert manifest["records_out_of_order"] == "1"
         assert manifest["records_skipped"] == "0"
 
+    def test_ingest_manifest_counts_skips_by_reason(self, tmp_path):
+        log = tmp_path / "requests.log"
+        log.write_text("1\tu\t-\tA\n2\tu\tA\n-3\tu\tA\tB\nnan\tu\tA\tB\n"
+                       "4\tu\tA\t-\n5\t\tA\tB\n")
+        manifest = run_ingest(log, tmp_path / "out")
+        keys = list(manifest.values)
+        at = keys.index("records_skipped")
+        reason_keys = [f"records_skipped.{r}" for r in SKIP_REASONS]
+        assert keys[at + 1:at + 1 + len(SKIP_REASONS)] == reason_keys
+        counts = [int(manifest[k]) for k in reason_keys]
+        assert counts == [1, 0, 1, 1, 2]
+        assert sum(counts) == int(manifest["records_skipped"]) == 5
+
+    def test_regressed_record_does_not_age_its_session(self):
+        # the regressed C must not pull the session's last activity below
+        # 1000, or D (1400 s after it) would find the session expired
+        recs = records((0, "u", None, "A"), (1000, "u", "A", "B"),
+                       (500, "u", "A", "C"), (2400, "u", "B", "D"))
+        descs, _ = run_sessionize(recs)
+        assert [(d.root, d.size, d.depth) for d in descs] == [("A", 4, 2)]
+
+    def test_bare_feed_assigns_and_returns_expired(self):
+        worker = Sessionizer(timeout=100)
+        assert worker.feed(LogRecord(0.0, "u", None, "A")) == []
+        worker.feed(LogRecord(1.0, "u", "A", "B"))
+        assert worker.tally.link_visits == {("A", "B"): 1}
+        expired = worker.feed(LogRecord(500.0, "u", None, "C"))
+        assert [(d.root, d.size) for d in expired] == [("A", 2)]
+        assert worker.tally.session_starts == {"A": 1, "C": 1}
+
     def test_every_record_lands_in_exactly_one_session(self):
         recs = records(
             (0, "u", None, "A"), (1, "u", "A", "B"), (2, "u", "Q", "C"),
@@ -207,3 +263,189 @@ class TestRoundTrip:
             {(str(a), str(b)): v for (a, b), v in sim.tally.link_visits.items()})
         assert tally.session_starts == Counter(
             {str(k): v for k, v in sim.tally.session_starts.items()})
+
+
+class _ReferenceSessionizer:
+    """The Sessionizer before url_index kept (time, sid) order: every
+    lookup scans all sessions that requested the referrer for the largest
+    (request time, sid) and prunes dead entries on the way.
+
+    keeps_newest_activity = False restores the rule that let a regressed
+    record move its session's last activity backwards.
+    """
+
+    keeps_newest_activity = True
+
+    def __init__(self, timeout, tally):
+        self.timeout = float(timeout)
+        self.tally = tally
+        self.out_of_order = 0
+        self._users = {}
+
+    def feed(self, record):
+        state = self._users.get(record.user)
+        if state is None:
+            visits = self.tally.per_user_visits.setdefault(record.user, Counter())
+            state = self._users[record.user] = _UserState(visits)
+        if record.timestamp < state.last_time:
+            self.out_of_order += 1
+        state.last_time = record.timestamp
+        yield from self._expire(record.user, state, record.timestamp)
+        self._assign(state, record)
+
+    def finish(self):
+        for user in sorted(self._users):
+            state = self._users[user]
+            for sid in sorted(state.sessions):
+                yield self._close(user, state, state.sessions[sid])
+            state.sessions.clear()
+            state.url_index.clear()
+        self._users.clear()
+
+    def _expire(self, user, state, now):
+        deadline = now - self.timeout
+        heap = state.expiry_heap
+        while heap and heap[0][0] < deadline:
+            t, sid = heapq.heappop(heap)
+            sess = state.sessions.get(sid)
+            if sess is None:
+                continue
+            if sess.last_activity < deadline:
+                yield self._close(user, state, sess)
+                del state.sessions[sid]
+            else:
+                heapq.heappush(heap, (sess.last_activity, sid))
+
+    def _close(self, user, state, sess):
+        index = state.url_index
+        for url in sess.tree.depth:
+            per_url = index.get(url)
+            if per_url is not None:
+                per_url.pop(sess.sid, None)
+                if not per_url:
+                    del index[url]
+        desc = SessionDescriptor(user, state.closed, sess.tree.root,
+                                 sess.tree.size, sess.tree.max_depth, sess.requests)
+        state.closed += 1
+        return desc
+
+    def _assign(self, state, record):
+        t = record.timestamp
+        target = record.target
+        sess = None
+        if record.referrer is not None:
+            sess = self._find_by_referrer(state, record.referrer, t)
+        if sess is None:
+            sid = state.next_sid
+            state.next_sid += 1
+            sess = _LiveSession(sid, open_session(self.tally, state.visits, target), t)
+            state.sessions[sid] = sess
+            heapq.heappush(state.expiry_heap, (t, sid))
+        else:
+            sess.requests += 1
+            follow(self.tally, state.visits, sess.tree, record.referrer, target)
+            if t > sess.last_activity or not self.keeps_newest_activity:
+                sess.last_activity = t
+        state.url_index.setdefault(target, {})[sess.sid] = t
+
+    def _find_by_referrer(self, state, referrer, now):
+        per_url = state.url_index.get(referrer)
+        if not per_url:
+            return None
+        deadline = now - self.timeout
+        best = None
+        best_key = None
+        dead = []
+        for sid, t in per_url.items():
+            sess = state.sessions.get(sid)
+            if sess is None or sess.last_activity < deadline:
+                dead.append(sid)
+                continue
+            key = (t, sid)
+            if best_key is None or key > best_key:
+                best, best_key = sess, key
+        for sid in dead:
+            del per_url[sid]
+        if not per_url:
+            del state.url_index[referrer]
+        return best
+
+
+class _UnfixedReferenceSessionizer(_ReferenceSessionizer):
+    keeps_newest_activity = False
+
+
+TIMEOUT = 100.0
+# time steps between one user's records: ties (0), gaps that land exactly
+# on the expiry boundary (100) or just past it (101), and regressions
+FORWARD_STEPS = [0, 0, 0, 1, 50, 99, 100, 101, 250]
+REGRESSED_STEPS = [-1, -60, -150]
+PAGES = "ABC"
+# few pages, mostly known referrers: sessions often share a url, which is
+# what the tie order and the expiry of stale entries decide
+REFERRERS = [None, *PAGES, *PAGES, "unseen"]
+
+
+@st.composite
+def request_logs(draw, regressions=True):
+    """A log of two users over three pages; times advance per user."""
+    steps = FORWARD_STEPS + (REGRESSED_STEPS if regressions else [])
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from("uv"), st.sampled_from(steps),
+        st.sampled_from(REFERRERS), st.sampled_from(PAGES)), max_size=60))
+    clock = {}
+    log = []
+    for user, step, referrer, target in rows:
+        clock[user] = clock.get(user, 1000.0) + step
+        log.append(LogRecord(clock[user], user, referrer, target))
+    return log
+
+
+def outputs(worker_type, log):
+    tally = TrafficTally()
+    worker = worker_type(TIMEOUT, tally)
+    descs = []
+    for rec in log:
+        descs.extend(worker.feed(rec))
+    descs.extend(worker.finish())
+    return (descs, tally.page_visits, tally.link_visits, tally.session_starts,
+            tally.per_user_visits, worker.out_of_order)
+
+
+class TestSessionizerMatchesReference:
+    @given(request_logs())
+    @settings(max_examples=600, deadline=None)
+    def test_same_outputs(self, log):
+        assert outputs(Sessionizer, log) == outputs(_ReferenceSessionizer, log)
+
+    @given(request_logs(regressions=False))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outputs_as_unfixed_reference_without_regressions(self, log):
+        assert outputs(Sessionizer, log) == outputs(_UnfixedReferenceSessionizer, log)
+
+    def test_tie_won_by_older_session(self):
+        # X is requested at t=2 in session 1, then at t=2 in session 0: the
+        # later write must not outrank session 1 on the tie
+        log = records((0, "u", None, "A"), (1, "u", None, "B"),
+                      (2, "u", "B", "X"), (2, "u", "A", "X"), (3, "u", "X", "Y"))
+        got = outputs(Sessionizer, log)
+        assert got == outputs(_ReferenceSessionizer, log)
+        assert sorted((d.root, d.size) for d in got[0]) == [("A", 2), ("B", 3)]
+
+    @given(request_logs(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_user_interleaving_changes_no_output(self, log, rng):
+        # one user's records keep their order; only how users mix changes
+        order = [rec.user for rec in log]
+        rng.shuffle(order)
+        queues = {}
+        for rec in log:
+            queues.setdefault(rec.user, []).append(rec)
+        for queue in queues.values():
+            queue.reverse()
+        mixed = [queues[user].pop() for user in order]
+        a, b = outputs(Sessionizer, log), outputs(Sessionizer, mixed)
+        # expiry can interleave users' descriptors differently; each
+        # (user, index) descriptor itself is the same
+        assert sorted(a[0]) == sorted(b[0])
+        assert a[1:] == b[1:]

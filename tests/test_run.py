@@ -1,6 +1,8 @@
 import argparse
+import csv
 import filecmp
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,8 @@ from webnav import (ModelParams, RunManifest, SimConfig, compare_runs,
 from webnav import cli
 from webnav.cli import main
 from webnav.errors import ConfigurationError
-from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, build_config,
-                        parse_config_file, partition_agents)
+from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _write_counter_csv,
+                        build_config, parse_config_file, partition_agents)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -146,6 +148,24 @@ def run_to_dir(tmp_path, name, workers, graph, export=False):
                        export_log=export)
     manifest = run_simulation(config, graph=graph)
     return out, manifest
+
+
+class TestCounterCsv:
+    @pytest.mark.parametrize("counter", [
+        Counter({3: 2, 1: 5, 10: 5, 2: 1}),
+        Counter({(2, 1): 1, (1, 9): 3, (1, 2): 3, (10, 0): 2}),
+        Counter({"b": 1, "a": 4, "10": 4, "9": 2}),
+        Counter({("b", "a"): 1, ("a", "c"): 2, ("a", "b"): 2, ("10", "9"): 7}),
+    ])
+    def test_rows_follow_sorted_items(self, tmp_path, counter):
+        split_key = isinstance(next(iter(counter)), tuple)
+        path = tmp_path / "tally.csv"
+        _write_counter_csv(path, ["key", "count"], counter, split_key)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        expected = [[str(x) for x in (*k, c)] if split_key else [str(k), str(c)]
+                    for k, c in sorted(counter.items())]
+        assert rows == expected
 
 
 class TestRunSimulation:
