@@ -21,12 +21,13 @@ print("-" * len(header))
 for model in ("pagerank", "bookrank", "abc"):
     config = SimConfig(model=model, n_agents=300, sessions=300, seed=11, workers=2)
     result = simulate(config, graph=graph)
-    sizes = result.session_sizes()
+    sizes = [d.size for d in result.descriptors]
     traffic = list(result.tally.page_visits.values())
     alpha = fit_power_law(traffic, xmin=10).alpha
     entropy = np.mean([s for _, s, _ in result.entropies])
     p10 = sum(s >= 10 for s in sizes) / len(sizes)
-    print(f"{model:<10} {result.mean_session_size():>9.2f} {max(sizes):>8} "
+    mean_size = result.summary()["mean_session_size"]
+    print(f"{model:<10} {mean_size:>9.2f} {max(sizes):>8} "
           f"{p10:>11.4f} {max(traffic):>11} {alpha:>14.2f} {entropy:>8.2f}")
 
 print("""

@@ -6,7 +6,7 @@ a referrer whose session has timed out, and a second user processed
 independently.
 """
 
-from webnav import descriptors_from_logs, parse_log
+from webnav import Sessionizer, parse_log
 
 LOG = """\
 0\talice\t-\thttp://news.example/
@@ -24,9 +24,9 @@ LOG = """\
 records = list(parse_log(LOG.splitlines(), strip_query=True))
 print(f"parsed {len(records)} requests from 2 users")
 
-descriptors, tally = descriptors_from_logs(records, timeout=1800)
-print(f"reconstructed {len(descriptors)} sessions:\n")
-for d in descriptors:
+result = Sessionizer(timeout=1800).run(records)
+print(f"reconstructed {result.total_sessions} sessions:\n")
+for d in result.descriptors:
     print(f"  {d.user:<6} session {d.index}: root={d.root:<28} "
           f"size={d.size} depth={d.depth} clicks={d.clicks}")
 
@@ -35,4 +35,4 @@ Notes: alice's news and wiki trees grow in parallel; the ?page=2 request
 collapses onto the stripped URL already in the news tree (no new node);
 the click at t=2500 arrives 2430s after the wiki tree's last request, so
 it starts a fresh session instead of attaching.""")
-print(f"page traffic: {dict(tally.page_visits)}")
+print(f"page traffic: {dict(result.tally.page_visits)}")

@@ -14,15 +14,14 @@ from .agents import (BACK, FORWARD, TELEPORT, ModelParams, abc_step,
 from .errors import (ConfigurationError, DataError, EmptyDataError,
                      ParseError, ProtocolError, StatisticsError, WebnavError)
 from .graph import WebGraph, generate_scale_free, load_edge_list, write_edge_list
-from .ingest import (LogRecord, ParseStats, Sessionizer, descriptors_from_logs,
-                     parse_log, sessionize)
+from .ingest import LogRecord, ParseStats, Sessionizer, parse_log, sessionize
 from .metrics import (LogBinnedHistogram, PowerLawFit, ccdf,
                       fit_geometric_ratio, fit_power_law, histogram,
                       ks_statistic)
-from .run import (RunManifest, RunResult, SimConfig, compare_runs,
-                  format_comparison, run_ingest, run_simulation, simulate)
-from .session import (SessionDescriptor, SessionRecorder, TrafficTally,
-                      entropy_bits)
+from .run import (RunManifest, SimConfig, compare_runs, format_comparison,
+                  run_ingest, run_simulation, simulate)
+from .session import (RunResult, SessionDescriptor, SessionRecorder,
+                      TrafficTally, entropy_bits)
 
 __all__ = [
     # models
@@ -34,7 +33,6 @@ __all__ = [
     "SessionDescriptor", "SessionRecorder", "TrafficTally", "entropy_bits",
     # log ingest
     "LogRecord", "ParseStats", "parse_log", "Sessionizer", "sessionize",
-    "descriptors_from_logs",
     # statistics
     "LogBinnedHistogram", "PowerLawFit", "histogram", "ccdf",
     "fit_power_law", "fit_geometric_ratio", "ks_statistic",

@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .session import (SessionDescriptor, SessionTree, TrafficTally, follow,
-                      open_session)
+from .session import (RunResult, SessionDescriptor, SessionTree,
+                      TrafficTally, entropy_row, follow, open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
 EMPTY_REFERRER = "-"
@@ -176,15 +176,33 @@ class Sessionizer:
         self._assign(state, record)
         return expired
 
-    def finish(self) -> Iterator[SessionDescriptor]:
+    def finish(self) -> list[SessionDescriptor]:
         """Close every remaining session, ordered by user id then age."""
+        closed = []
         for user in sorted(self._users):
             state = self._users[user]
-            for sid in sorted(state.sessions):
-                yield self._close(user, state, state.sessions[sid])
-            state.sessions.clear()
-            state.url_index.clear()
+            closed.extend(self._close(user, state, state.sessions[sid])
+                          for sid in sorted(state.sessions))
         self._users.clear()
+        return closed
+
+    def run(self, records: Iterable[LogRecord]) -> RunResult:
+        """Sessionize a whole record stream: feed every record, then finish.
+
+        Descriptors come sorted by (user, index) whatever the interleaving
+        of users' records, and each user's visit vector is reduced to its
+        entropy row and dropped from the tally, as simulate does.
+        """
+        descriptors = []
+        keep = descriptors.extend
+        feed = self.feed
+        for record in records:
+            keep(feed(record))
+        keep(self.finish())
+        descriptors.sort()  # (user, index) is unique: no tie reaches the root
+        visits = self.tally.per_user_visits
+        entropies = [entropy_row(user, visits.pop(user)) for user in sorted(visits)]
+        return RunResult(descriptors, self.tally, entropies)
 
     def _expire(self, user, state: _UserState,
                 deadline: float) -> list[SessionDescriptor]:
@@ -281,14 +299,3 @@ def sessionize(records: Iterable[LogRecord], timeout: float = DEFAULT_TIMEOUT,
         yield from worker.feed(record)
     yield from worker.finish()
 
-
-def descriptors_from_logs(records: Iterable[LogRecord],
-                          timeout: float = DEFAULT_TIMEOUT):
-    """Materialize (descriptors, tally) from a record stream.
-
-    Produces the same descriptor and tally structures as the simulator,
-    so the downstream metric pipeline is shared verbatim.
-    """
-    tally = TrafficTally()
-    descriptors = list(sessionize(records, timeout, tally))
-    return descriptors, tally

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
 from operator import itemgetter
@@ -26,7 +25,7 @@ from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
-from .session import SessionRecorder, TrafficTally, entropy_bits
+from .session import RunResult, SessionRecorder, TrafficTally, entropy_row
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -215,8 +214,7 @@ def partition_agents(quotas: list[int], n_queues: int) -> list[list[int]]:
 class AgentOutput:
     agent_id: int
     descriptors: list
-    entropy: float
-    n_tallied_visits: int
+    entropy: tuple          # entropy_row of the agent
     log_lines: list | None
 
 
@@ -253,11 +251,10 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
         lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
                  f"\t{target}\n"
                  for i, (ref, target) in enumerate(requests, start=1)]
-    visits = tally.per_user_visits.pop(agent_id)
     return AgentOutput(agent_id=agent_id,
                        descriptors=descriptors,
-                       entropy=entropy_bits(visits.values()),
-                       n_tallied_visits=sum(visits.values()),
+                       entropy=entropy_row(agent_id,
+                                           tally.per_user_visits.pop(agent_id)),
                        log_lines=lines)
 
 
@@ -287,45 +284,9 @@ def _pool_run(queue):
                       s["master_seed"], s["export"])
 
 
-@dataclass
-class RunResult:
-    """In-memory outcome of a simulation run."""
-
-    config: SimConfig
-    graph_n: int
-    graph_edges: int
-    descriptors: list           # sorted by (agent id, session index)
-    tally: TrafficTally         # aggregate counts; per-user vectors dropped
-    entropies: list             # (agent_id, entropy_bits, tallied visits)
-    click_lengths: Counter
-    log_lines: list | None
-    wall_time: float
-
-    def session_sizes(self):
-        return [d.size for d in self.descriptors]
-
-    def session_depths(self):
-        return [d.depth for d in self.descriptors]
-
-    @property
-    def total_sessions(self) -> int:
-        return len(self.descriptors)
-
-    @property
-    def total_clicks(self) -> int:
-        return sum(l * c for l, c in self.click_lengths.items())
-
-    def mean_session_size(self) -> float:
-        return sum(d.size for d in self.descriptors) / len(self.descriptors)
-
-    def mean_session_depth(self) -> float:
-        return sum(d.depth for d in self.descriptors) / len(self.descriptors)
-
-
 def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     """Run the configured model; deterministic for any worker count."""
     config.validate()
-    started = time.perf_counter()
     if graph is None:
         graph = resolve_graph(config)
     quotas = config.quotas()
@@ -354,15 +315,10 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     log_lines = [] if config.export_log else None
     for agent in agent_outputs:
         descriptors.extend(agent.descriptors)
-        entropies.append((agent.agent_id, agent.entropy, agent.n_tallied_visits))
+        entropies.append(agent.entropy)
         if config.export_log:
             log_lines.extend(agent.log_lines)
-
-    return RunResult(config=config, graph_n=graph.n, graph_edges=graph.n_edges,
-                     descriptors=descriptors, tally=tally, entropies=entropies,
-                     click_lengths=Counter(d.clicks for d in descriptors),
-                     log_lines=log_lines,
-                     wall_time=time.perf_counter() - started)
+    return RunResult(descriptors, tally, entropies, log_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -497,47 +453,39 @@ class RunManifest:
         return cls(values, path)
 
 
-def _manifest_values(command: str, config_items: dict, result_items: dict,
-                     file_entries: dict) -> dict:
-    values = {"tool": f"webnav {__version__}", "command": command}
-    values.update(config_items)
-    values.update(result_items)
-    values.update(file_entries)
-    return values
+def _write_run(out_dir, command: str, items: dict, result: RunResult,
+               started: float) -> RunManifest:
+    """Write a run's output files and save its manifest.
 
-
-def _summary_items(descriptors, tally, entropies, click_lengths) -> dict:
-    """Manifest summary shared by simulated and ingested runs."""
-    n = len(descriptors)
-    mean_entropy = (sum(s for _, s, _ in entropies) / len(entropies)
-                    if entropies else math.nan)
-    return {
-        "total_sessions": n,
-        "total_clicks": sum(l * c for l, c in click_lengths.items()),
-        "total_page_visits": sum(tally.page_visits.values()),
-        "total_link_visits": sum(tally.link_visits.values()),
-        "mean_session_size": _fmt(sum(d.size for d in descriptors) / n),
-        "mean_session_depth": _fmt(sum(d.depth for d in descriptors) / n),
-        "mean_user_entropy": _fmt(mean_entropy),
-    }
+    The manifest holds the command, the caller's items, the result's
+    summary, the wall time since started, then the names of the files.
+    """
+    out = Path(out_dir)
+    entries = write_outputs(out, result.descriptors, result.tally,
+                            result.entropies, result.click_lengths)
+    if result.log_lines is not None:
+        with open(out / EXPORT_LOG_NAME, "wt", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(result.log_lines)
+        entries["file.request_log"] = EXPORT_LOG_NAME
+    values = {"tool": f"webnav {__version__}", "command": command, **items}
+    values.update((key, _fmt(v)) for key, v in result.summary().items())
+    values["wall_time_s"] = _fmt(time.perf_counter() - started)
+    values.update(entries)
+    return RunManifest(values).save(out / MANIFEST_NAME)
 
 
 def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManifest:
     """Simulate, write every output file, and return the saved manifest."""
+    started = time.perf_counter()
+    config.validate()
+    if graph is None:
+        graph = resolve_graph(config)
     result = simulate(config, graph)
-    out = Path(config.out_dir)
-    entries = write_outputs(out, result.descriptors, result.tally,
-                            result.entropies, result.click_lengths)
-    if config.export_log:
-        with open(out / EXPORT_LOG_NAME, "wt", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(result.log_lines)
-        entries["file.request_log"] = EXPORT_LOG_NAME
-
     p = config.params
-    config_items = {
+    items = {
         "model": config.model,
         "graph_source": config.graph_path or "generated",
-        "graph_n": config.graph_n if config.graph_path is None else result.graph_n,
+        "graph_n": config.graph_n if config.graph_path is None else graph.n,
         "graph_m": config.graph_m,
         "graph_gamma": _fmt(config.graph_gamma),
         "symmetrize": config.symmetrize,
@@ -547,17 +495,10 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
                      else config.sessions),
         "seed": config.seed,
         "workers": config.workers,
+        "n_nodes": graph.n,
+        "n_edges": graph.n_edges,
     }
-    result_items = {
-        "n_nodes": result.graph_n,
-        "n_edges": result.graph_edges,
-        **_summary_items(result.descriptors, result.tally, result.entropies,
-                         result.click_lengths),
-        "wall_time_s": _fmt(result.wall_time),
-    }
-    manifest = RunManifest(_manifest_values("simulate", config_items,
-                                            result_items, entries))
-    return manifest.save(out / MANIFEST_NAME)
+    return _write_run(config.out_dir, "simulate", items, result, started)
 
 
 def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
@@ -565,26 +506,15 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
     """Rebuild sessions from a request log and write the same outputs."""
     started = time.perf_counter()
     stats = ParseStats()
-    tally = TrafficTally()
-    sessionizer = Sessionizer(timeout, tally)
-    descriptors = []
+    sessionizer = Sessionizer(timeout)
     with open(log_path, "rt", encoding="utf-8") as fh:
-        for record in parse_log(fh, strip_query=strip_query,
-                                page_extensions=page_extensions, stats=stats):
-            descriptors.extend(sessionizer.feed(record))
-    descriptors.extend(sessionizer.finish())
-    if not descriptors:
+        result = sessionizer.run(parse_log(fh, strip_query=strip_query,
+                                           page_extensions=page_extensions,
+                                           stats=stats))
+    if not result.descriptors:
         raise EmptyDataError(f"no usable records in {log_path} "
                              f"({stats.skipped} skipped, {stats.filtered} filtered)")
-
-    users = sorted(tally.per_user_visits)
-    entropies = [(u, entropy_bits(tally.per_user_visits[u].values()),
-                  sum(tally.per_user_visits[u].values())) for u in users]
-    click_lengths = Counter(d.clicks for d in descriptors)
-    out = Path(out_dir)
-    entries = write_outputs(out, descriptors, tally, entropies, click_lengths)
-
-    config_items = {
+    items = {
         "log_path": str(log_path),
         "timeout_s": _fmt(float(timeout)),
         "strip_query": strip_query,
@@ -596,15 +526,9 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
            for reason, n in stats.skipped_by_reason.items()},
         "records_out_of_order": sessionizer.out_of_order,
         "records_filtered": stats.filtered,
+        "n_users": len(result.entropies),
     }
-    result_items = {
-        "n_users": len(users),
-        **_summary_items(descriptors, tally, entropies, click_lengths),
-        "wall_time_s": _fmt(time.perf_counter() - started),
-    }
-    manifest = RunManifest(_manifest_values("ingest", config_items,
-                                            result_items, entries))
-    return manifest.save(out / MANIFEST_NAME)
+    return _write_run(out_dir, "ingest", items, result, started)
 
 
 # ---------------------------------------------------------------------------

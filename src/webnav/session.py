@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .agents import BACK, FORWARD, KIND_NAMES, TELEPORT
@@ -132,6 +133,50 @@ def entropy_bits(counts) -> float:
             p = c / total
             s -= p * math.log2(p)
     return s
+
+
+def entropy_row(user, visits: Counter) -> tuple:
+    """(user, entropy bits, tallied visits) of one user's visit Counter."""
+    counts = visits.values()
+    return user, entropy_bits(counts), sum(counts)
+
+
+@dataclass
+class RunResult:
+    """In-memory outcome of a run, simulated or ingested from a log."""
+
+    descriptors: list       # sorted by (user, session index)
+    tally: TrafficTally     # aggregate counts; per-user vectors dropped
+    entropies: list         # entropy_row per user, sorted by user
+    log_lines: list | None = None   # the exported request log, if any
+
+    @property
+    def total_sessions(self) -> int:
+        return len(self.descriptors)
+
+    @property
+    def total_clicks(self) -> int:
+        return sum(d.clicks for d in self.descriptors)
+
+    @property
+    def click_lengths(self) -> Counter:
+        """Clicks per session -> sessions."""
+        return Counter(d.clicks for d in self.descriptors)
+
+    def summary(self) -> dict:
+        """Totals and means of the run, as its manifest records them."""
+        n = len(self.descriptors)
+        entropies = self.entropies
+        return {
+            "total_sessions": n,
+            "total_clicks": self.total_clicks,
+            "total_page_visits": sum(self.tally.page_visits.values()),
+            "total_link_visits": sum(self.tally.link_visits.values()),
+            "mean_session_size": sum(d.size for d in self.descriptors) / n,
+            "mean_session_depth": sum(d.depth for d in self.descriptors) / n,
+            "mean_user_entropy": (sum(s for _, s, _ in entropies) / len(entropies)
+                                  if entropies else math.nan),
+        }
 
 
 class SessionRecorder:

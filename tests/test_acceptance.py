@@ -53,7 +53,7 @@ from webnav import (ModelParams, SimConfig, TrafficTally, abc_step,
                     generate_scale_free, ks_statistic, make_agent, parse_log,
                     run_simulation, simulate)
 from webnav.agents import BACK, FORWARD, TELEPORT, BookmarkList
-from webnav.ingest import descriptors_from_logs
+from webnav.ingest import Sessionizer
 from webnav.metrics import zipf_samples
 from webnav.session import SessionRecorder
 
@@ -97,14 +97,14 @@ def desk(desk_graph):
                            workers=WORKERS)
         result = simulate(config, graph=desk_graph)
         summaries[model] = ModelSummary(
-            sizes=np.array(result.session_sizes(), dtype=np.int32),
-            depths=np.array(result.session_depths(), dtype=np.int32),
+            sizes=np.array([d.size for d in result.descriptors], dtype=np.int32),
+            depths=np.array([d.depth for d in result.descriptors], dtype=np.int32),
             page_counts=np.array(list(result.tally.page_visits.values())),
             link_counts=np.array(list(result.tally.link_visits.values())),
             start_counts=np.array(list(result.tally.session_starts.values())),
             entropies=np.array([s for _, s, _ in result.entropies]),
             click_lengths=result.click_lengths,
-            mean_size=result.mean_session_size(),
+            mean_size=result.summary()["mean_session_size"],
         )
     return summaries
 
@@ -231,7 +231,8 @@ def test_criterion_7_roundtrip_oracle():
                        workers=WORKERS, export_log=True)
     sim = simulate(config, graph=graph)
     records = parse_log(iter(sim.log_lines))
-    descs, tally = descriptors_from_logs(records)
+    ingested = Sessionizer().run(records)
+    descs, tally = ingested.descriptors, ingested.tally
 
     sizes_ok = (Counter(d.size for d in descs)
                 == Counter(d.size for d in sim.descriptors))

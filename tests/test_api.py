@@ -12,7 +12,6 @@ PUBLIC = [
     "WebGraph", "generate_scale_free", "load_edge_list", "write_edge_list",
     "SessionDescriptor", "SessionRecorder", "TrafficTally", "entropy_bits",
     "LogRecord", "ParseStats", "parse_log", "Sessionizer", "sessionize",
-    "descriptors_from_logs",
     "LogBinnedHistogram", "PowerLawFit", "histogram", "ccdf",
     "fit_power_law", "fit_geometric_ratio", "ks_statistic",
     "SimConfig", "RunResult", "RunManifest", "simulate", "run_simulation",

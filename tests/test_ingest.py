@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webnav import (ModelParams, SimConfig, TrafficTally, descriptors_from_logs,
-                    entropy_bits, generate_scale_free, parse_log, run_ingest,
-                    sessionize, simulate)
+from webnav import (ModelParams, SimConfig, TrafficTally, generate_scale_free,
+                    parse_log, run_ingest, sessionize, simulate)
 from webnav.ingest import (SKIP_REASONS, LogRecord, ParseStats, Sessionizer,
                            _LiveSession, _UserState)
 from webnav.session import SessionDescriptor, follow, open_session
@@ -232,17 +231,46 @@ class TestSessionize:
         assert sum(d.clicks for d in descs) + len(descs) == len(recs)
 
 
-class TestDescriptorsFromLogs:
+class TestSessionizerRun:
     def test_single_record(self):
-        descs, tally = descriptors_from_logs(records((0, "u", None, "A")))
-        assert [(d.size, d.depth) for d in descs] == [(1, 0)]
-        assert entropy_bits(tally.per_user_visits["u"].values()) == 0.0
+        result = Sessionizer().run(records((0, "u", None, "A")))
+        assert [(d.size, d.depth) for d in result.descriptors] == [(1, 0)]
+        assert result.entropies == [("u", 0.0, 1)]
+        assert result.tally.per_user_visits == {}
 
     def test_mean_sessions_per_user(self):
         recs = records(*[(i, f"u{i % 3}", None, f"p{i}") for i in range(12)])
-        descs, _ = descriptors_from_logs(recs)
-        per_user = Counter(d.user for d in descs)
+        result = Sessionizer().run(recs)
+        per_user = Counter(d.user for d in result.descriptors)
         assert sum(per_user.values()) / len(per_user) == 4.0
+
+    def test_bare_finish_closes_every_session(self):
+        worker = Sessionizer()
+        worker.feed(LogRecord(0.0, "u", None, "A"))
+        worker.feed(LogRecord(1.0, "v", None, "B"))
+        worker.finish()
+        assert worker._users == {}
+        assert worker.finish() == []
+
+    def test_ingest_files_independent_of_interleaving(self, tmp_path):
+        # u's and v's first sessions expire mid-stream, in the order their
+        # users' next records arrive; the files must not show that order
+        head = "0\tu\t-\tA\n0\tv\t-\tA\n"
+        tails = ["3000\tu\t-\tB\n3000\tv\t-\tB\n",
+                 "3000\tv\t-\tB\n3000\tu\t-\tB\n"]
+        outs = []
+        for i, tail in enumerate(tails):
+            log = tmp_path / f"requests{i}.log"
+            log.write_text(head + tail)
+            outs.append(tmp_path / f"out{i}")
+            run_ingest(log, outs[-1])
+        names = sorted(p.name for p in outs[0].iterdir()
+                       if p.name != "run_manifest.txt")
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        rows = (outs[0] / "sessions.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["u", "0", "A"], ["u", "1", "B"], ["v", "0", "A"], ["v", "1", "B"]]
 
 
 class TestRoundTrip:
@@ -253,7 +281,8 @@ class TestRoundTrip:
                            workers=1, export_log=True, params=ModelParams())
         sim = simulate(config, graph=graph)
         recs = list(parse_log(iter(sim.log_lines)))
-        descs, tally = descriptors_from_logs(recs)
+        ingested = Sessionizer().run(recs)
+        descs, tally = ingested.descriptors, ingested.tally
 
         assert Counter(d.size for d in descs) == Counter(d.size for d in sim.descriptors)
         assert Counter(d.depth for d in descs) == Counter(d.depth for d in sim.descriptors)
@@ -263,6 +292,40 @@ class TestRoundTrip:
             {(str(a), str(b)): v for (a, b), v in sim.tally.link_visits.items()})
         assert tally.session_starts == Counter(
             {str(k): v for k, v in sim.tally.session_starts.items()})
+
+
+@pytest.fixture(scope="module")
+def roundtrip_graph():
+    return generate_scale_free(3000, 3, 2.1, seed=11)
+
+
+class TestRoundTripProperty:
+    # 13 users: "10" sorts before "2" as a string, so the two pipelines'
+    # user orders differ. Export stamps each user's requests 1 s apart, so
+    # a 60 s timeout expires most sessions mid-stream, for every model.
+    @pytest.mark.parametrize("model", ["pagerank", "bookrank", "abc"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_interleaved_export_reingests_exactly(self, roundtrip_graph, model, seed):
+        config = SimConfig(model=model, n_agents=13, sessions=400, seed=seed,
+                           workers=1, export_log=True)
+        sim = simulate(config, graph=roundtrip_graph)
+        # users interleave as in a server log; the sort is stable per user
+        lines = sorted(sim.log_lines, key=lambda line: float(line.split("\t", 1)[0]))
+        ing = Sessionizer(timeout=60).run(parse_log(lines))
+
+        def sessions(result):
+            return {(str(d.user), d.index): (str(d.root), d.size, d.depth)
+                    for d in result.descriptors}
+
+        assert sessions(ing) == sessions(sim)
+        assert ing.entropies == sorted((str(u), s, n) for u, s, n in sim.entropies)
+        assert ing.tally.page_visits == {
+            str(k): v for k, v in sim.tally.page_visits.items()}
+        assert ing.tally.link_visits == {
+            (str(a), str(b)): v for (a, b), v in sim.tally.link_visits.items()}
+        assert ing.tally.session_starts == {
+            str(k): v for k, v in sim.tally.session_starts.items()}
 
 
 class _ReferenceSessionizer:
@@ -401,6 +464,18 @@ def request_logs(draw, regressions=True):
     return log
 
 
+def mix_users(log, rng):
+    """log with its users' records shuffled together; each user's keep their order."""
+    order = [rec.user for rec in log]
+    rng.shuffle(order)
+    queues = {}
+    for rec in log:
+        queues.setdefault(rec.user, []).append(rec)
+    for queue in queues.values():
+        queue.reverse()
+    return [queues[user].pop() for user in order]
+
+
 def outputs(worker_type, log):
     tally = TrafficTally()
     worker = worker_type(TIMEOUT, tally)
@@ -435,17 +510,21 @@ class TestSessionizerMatchesReference:
     @given(request_logs(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     def test_user_interleaving_changes_no_output(self, log, rng):
-        # one user's records keep their order; only how users mix changes
-        order = [rec.user for rec in log]
-        rng.shuffle(order)
-        queues = {}
-        for rec in log:
-            queues.setdefault(rec.user, []).append(rec)
-        for queue in queues.values():
-            queue.reverse()
-        mixed = [queues[user].pop() for user in order]
+        mixed = mix_users(log, rng)
         a, b = outputs(Sessionizer, log), outputs(Sessionizer, mixed)
         # expiry can interleave users' descriptors differently; each
         # (user, index) descriptor itself is the same
         assert sorted(a[0]) == sorted(b[0])
         assert a[1:] == b[1:]
+
+    @given(request_logs(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_user_interleaving_changes_no_run_result(self, log, rng):
+        mixed = mix_users(log, rng)
+        a, b = Sessionizer(TIMEOUT), Sessionizer(TIMEOUT)
+        ra, rb = a.run(log), b.run(mixed)
+        assert ra.descriptors == rb.descriptors  # list order included
+        assert ra.entropies == rb.entropies
+        for name in ("page_visits", "link_visits", "session_starts", "per_user_visits"):
+            assert getattr(ra.tally, name) == getattr(rb.tally, name)
+        assert a.out_of_order == b.out_of_order
