@@ -172,7 +172,7 @@ class AgentState:
     """Mutable per-agent walker state; confined to a single worker."""
 
     __slots__ = ("agent_id", "rng", "current", "bookmarks", "zipf",
-                 "energy", "history", "session_delta", "session_seen")
+                 "energy", "history", "session_delta")
 
     def __init__(self, agent_id: int, rng: random.Random,
                  zipf: ZipfRankTable | None = None):
@@ -183,8 +183,7 @@ class AgentState:
         self.zipf = zipf
         self.energy = 0.0
         self.history = []            # current-session back stack
-        self.session_delta = {}      # page -> relevance, this session only
-        self.session_seen = set()
+        self.session_delta = {}      # seen page -> relevance, this session only
 
 
 def agent_rng(master_seed: int, agent_id: int) -> random.Random:
@@ -268,7 +267,6 @@ def abc_step(state: AgentState, graph, params: ModelParams) -> tuple[int, int]:
         state.current = v
         state.energy = params.e0
         state.history.clear()
-        state.session_seen = {v}
         state.session_delta = {v: params.delta0}
         return TELEPORT, v
     if rng.random() < params.p_b:
@@ -280,11 +278,10 @@ def abc_step(state: AgentState, graph, params: ModelParams) -> tuple[int, int]:
         return BACK, state.current  # back at the root: cost paid, no move
     v = _uniform_neighbor(state, graph)
     state.history.append(state.current)
-    if v not in state.session_seen:
+    if v not in state.session_delta:
         eps = rng.uniform(-params.eta, params.eta)
         dv = state.session_delta[state.current] * (1.0 + eps)
         state.session_delta[v] = dv
-        state.session_seen.add(v)
         state.energy += dv - params.c_f
     else:
         state.energy -= params.c_f

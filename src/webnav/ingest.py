@@ -134,7 +134,7 @@ class _LiveSession:
 
 @dataclass
 class _UserState:
-    visits: Counter                                 # the user's tally vector
+    visits: Counter                                 # page -> tallied visits
     last_time: float = -math.inf                    # previous record's timestamp
     next_sid: int = 0
     sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
@@ -163,8 +163,7 @@ class Sessionizer:
         """Assign one record; returns descriptors of the sessions it expired."""
         state = self._users.get(record.user)
         if state is None:
-            visits = self.tally.per_user_visits.setdefault(record.user, Counter())
-            state = self._users[record.user] = _UserState(visits)
+            state = self._users[record.user] = _UserState(Counter())
         t = record.timestamp
         if t < state.last_time:
             self.out_of_order += 1
@@ -191,17 +190,17 @@ class Sessionizer:
 
         Descriptors come sorted by (user, index) whatever the interleaving
         of users' records, and each user's visit vector is reduced to its
-        entropy row and dropped from the tally, as simulate does.
+        entropy row, as simulate does.
         """
         descriptors = []
         keep = descriptors.extend
         feed = self.feed
         for record in records:
             keep(feed(record))
+        users = self._users
+        entropies = [entropy_row(user, users[user].visits) for user in sorted(users)]
         keep(self.finish())
         descriptors.sort()  # (user, index) is unique: no tie reaches the root
-        visits = self.tally.per_user_visits
-        entropies = [entropy_row(user, visits.pop(user)) for user in sorted(visits)]
         return RunResult(descriptors, self.tally, entropies)
 
     def _expire(self, user, state: _UserState,

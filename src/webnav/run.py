@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
+import resource
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
-from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .agents import (STEP_FUNCTIONS, TELEPORT, ModelParams, ZipfRankTable,
@@ -25,7 +28,8 @@ from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
-from .session import RunResult, SessionRecorder, TrafficTally, entropy_row
+from .session import (ArrayTally, CountView, RunResult, SessionRecorder,
+                      TrafficTally, count_arrays, entropy_row)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -221,7 +225,7 @@ class AgentOutput:
 @dataclass
 class QueueOutput:
     agents: list            # AgentOutput, in queue order
-    tally: TrafficTally     # merged across the queue's agents, no user vectors
+    counts: tuple           # count_arrays(tally of the queue, graph)
 
 
 def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
@@ -253,8 +257,7 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                  for i, (ref, target) in enumerate(requests, start=1)]
     return AgentOutput(agent_id=agent_id,
                        descriptors=descriptors,
-                       entropy=entropy_row(agent_id,
-                                           tally.per_user_visits.pop(agent_id)),
+                       entropy=entropy_row(agent_id, recorder.visits),
                        log_lines=lines)
 
 
@@ -267,7 +270,8 @@ def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                         zipf, export, tally)
         for agent_id, quota in queue
     ]
-    return QueueOutput(agents=agents, tally=tally)
+    # arrays pickle and add far faster than tuple-keyed Counters
+    return QueueOutput(agents=agents, counts=count_arrays(tally, graph))
 
 
 _POOL_STATE: dict = {}
@@ -297,16 +301,17 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
         outputs = [_run_queue(q, config.model, graph, config.params,
                               config.seed, config.export_log) for q in work]
     else:
+        graph.edge_keys()  # built once here, the forked workers share its pages
         with Pool(processes=min(config.workers, len(work)),
                   initializer=_pool_init,
                   initargs=(config.model, graph, config.params,
                             config.seed, config.export_log)) as pool:
             outputs = pool.map(_pool_run, work)
 
-    tally = TrafficTally()
-    agent_outputs = []
-    for out in outputs:
-        tally.merge(out.tally)
+    tally = ArrayTally(graph, *outputs[0].counts)
+    agent_outputs = list(outputs[0].agents)
+    for out in outputs[1:]:
+        tally.merge(ArrayTally(graph, *out.counts))
         agent_outputs.extend(out.agents)
     agent_outputs.sort(key=lambda a: a.agent_id)
 
@@ -338,18 +343,49 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_counter_csv(path, header, counter, split_key=False):
-    items = sorted(counter.items(), key=itemgetter(0))  # keys are unique: same rows
-    if split_key:
-        rows = [(a, b, c) for (a, b), c in items]
-    else:
-        rows = [(k, c) for k, c in items]
-    _write_csv(path, header, rows)
+# rows per %-format call when writing integer columns: bounds the
+# transient string and tuple
+_WRITE_CHUNK = 1 << 15
 
 
-def _write_distribution_csv(path, samples, ratio=DEFAULT_BIN_RATIO):
-    positive = [s for s in samples if s >= 1]
-    if not positive:
+def _count_columns(counts) -> tuple:
+    """(key columns, counts) of a count mapping, rows in key order.
+
+    An ArrayTally's views give int64 arrays in key order already; a
+    Counter is sorted by key once, and its tuple keys split into columns.
+    """
+    if isinstance(counts, CountView):
+        return counts.columns()
+    keys = sorted(counts)
+    values = np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
+    if keys and isinstance(keys[0], tuple):
+        return tuple(zip(*keys)), values
+    return (keys,), values
+
+
+def _write_count_csv(path, header, columns, counts):
+    """One row per key: its columns, then its count.
+
+    Integer-array columns are written by one %-format per chunk of rows,
+    which gives the bytes csv.writer would; any other keys (log URLs) go
+    through csv.writer, which quotes them.
+    """
+    with open(path, "wt", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if not all(isinstance(c, np.ndarray) for c in columns):
+            writer.writerows(zip(*columns, counts.tolist()))
+            return
+        line = ",".join(["%d"] * (len(columns) + 1)) + "\n"
+        for lo in range(0, counts.size, _WRITE_CHUNK):
+            part = np.column_stack([c[lo:lo + _WRITE_CHUNK]
+                                    for c in (*columns, counts)])
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
+
+
+def _write_distribution_csv(path, samples: np.ndarray, ratio=DEFAULT_BIN_RATIO):
+    positive = samples[samples >= 1]
+    if not positive.size:
         _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], [])
         return
     hist = histogram(positive, ratio)
@@ -358,45 +394,45 @@ def _write_distribution_csv(path, samples, ratio=DEFAULT_BIN_RATIO):
     _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], rows)
 
 
-def _fit_row(metric, samples, xmin):
-    positive = [s for s in samples if s >= 1]
+def _fit_row(metric, samples: np.ndarray, xmin):
+    positive = samples[samples >= 1]
     try:
         fit = fit_power_law(positive, xmin)
         return (metric, _fmt(fit.alpha), fit.xmin, fit.n_tail, _fmt(fit.stderr))
     except (StatisticsError, DataError):
-        return (metric, "nan", xmin, len(positive), "nan")
+        return (metric, "nan", xmin, positive.size, "nan")
 
 
 def write_outputs(out_dir, descriptors, tally, entropies, click_lengths) -> dict:
     """Write the six descriptor streams, distributions, and fit summaries.
 
-    Returns manifest entries: metric name -> file name plus summary stats.
+    tally is a TrafficTally or an ArrayTally. Returns manifest entries:
+    metric name -> file name plus summary stats.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    pages = _count_columns(tally.page_visits)
+    links = _count_columns(tally.link_visits)
+    starts = _count_columns(tally.session_starts)
     _write_csv(out / "sessions.csv",
                ["user_id", "session_index", "root", "size", "depth"],
                ([d.user, d.index, d.root, d.size, d.depth] for d in descriptors))
-    _write_counter_csv(out / "page_traffic.csv", ["page", "count"],
-                       tally.page_visits)
-    _write_counter_csv(out / "link_traffic.csv", ["src", "dst", "count"],
-                       tally.link_visits, split_key=True)
-    _write_counter_csv(out / "empty_referrer_traffic.csv", ["page", "count"],
-                       tally.session_starts)
+    _write_count_csv(out / "page_traffic.csv", ["page", "count"], *pages)
+    _write_count_csv(out / "link_traffic.csv", ["src", "dst", "count"], *links)
+    _write_count_csv(out / "empty_referrer_traffic.csv", ["page", "count"], *starts)
     _write_csv(out / "entropy.csv", ["user_id", "entropy_bits", "tallied_visits"],
                ((user, _fmt(s), visits) for user, s, visits in entropies))
-    _write_counter_csv(out / "session_clicks.csv", ["clicks", "count"],
-                       click_lengths)
+    _write_count_csv(out / "session_clicks.csv", ["clicks", "count"],
+                     *_count_columns(click_lengths))
 
-    sizes = [d.size for d in descriptors]
-    depths = [d.depth for d in descriptors]
+    n = len(descriptors)
     samples = {
-        "page_traffic": list(tally.page_visits.values()),
-        "link_traffic": list(tally.link_visits.values()),
-        "empty_referrer": list(tally.session_starts.values()),
-        "session_size": sizes,
-        "session_depth": depths,
+        "page_traffic": pages[1],
+        "link_traffic": links[1],
+        "empty_referrer": starts[1],
+        "session_size": np.fromiter((d.size for d in descriptors), np.int64, n),
+        "session_depth": np.fromiter((d.depth for d in descriptors), np.int64, n),
     }
     for metric, values in samples.items():
         _write_distribution_csv(out / f"dist_{metric}.csv", values)
@@ -453,23 +489,38 @@ class RunManifest:
         return cls(values, path)
 
 
+def _peak_rss_mb() -> dict:
+    """High-water resident set of this process and of its largest child."""
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    return {key: resource.getrusage(who).ru_maxrss / unit
+            for key, who in (("peak_rss_mb", resource.RUSAGE_SELF),
+                             ("peak_rss_mb.children", resource.RUSAGE_CHILDREN))}
+
+
 def _write_run(out_dir, command: str, items: dict, result: RunResult,
-               started: float) -> RunManifest:
+               started: float, stage_times: dict) -> RunManifest:
     """Write a run's output files and save its manifest.
 
     The manifest holds the command, the caller's items, the result's
-    summary, the wall time since started, then the names of the files.
+    summary, the wall time since started, the caller's stage_times
+    (time.<stage>_s), time.write_s, the peak RSS, then the names of the
+    files.
     """
     out = Path(out_dir)
+    write_start = time.perf_counter()
     entries = write_outputs(out, result.descriptors, result.tally,
                             result.entropies, result.click_lengths)
     if result.log_lines is not None:
         with open(out / EXPORT_LOG_NAME, "wt", encoding="utf-8", newline="\n") as fh:
             fh.writelines(result.log_lines)
         entries["file.request_log"] = EXPORT_LOG_NAME
+    measured = {**stage_times, "time.write_s": time.perf_counter() - write_start,
+                **_peak_rss_mb()}
     values = {"tool": f"webnav {__version__}", "command": command, **items}
     values.update((key, _fmt(v)) for key, v in result.summary().items())
     values["wall_time_s"] = _fmt(time.perf_counter() - started)
+    values.update((key, _fmt(v)) for key, v in measured.items())
     values.update(entries)
     return RunManifest(values).save(out / MANIFEST_NAME)
 
@@ -480,7 +531,9 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
     config.validate()
     if graph is None:
         graph = resolve_graph(config)
+    sim_start = time.perf_counter()
     result = simulate(config, graph)
+    stage_times = {"time.simulate_s": time.perf_counter() - sim_start}
     p = config.params
     items = {
         "model": config.model,
@@ -498,7 +551,8 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
         "n_nodes": graph.n,
         "n_edges": graph.n_edges,
     }
-    return _write_run(config.out_dir, "simulate", items, result, started)
+    return _write_run(config.out_dir, "simulate", items, result, started,
+                      stage_times)
 
 
 def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
@@ -511,6 +565,8 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
         result = sessionizer.run(parse_log(fh, strip_query=strip_query,
                                            page_extensions=page_extensions,
                                            stats=stats))
+    # parse_log is a generator that run() drains: one block covers both
+    stage_times = {"time.sessionize_s": time.perf_counter() - started}
     if not result.descriptors:
         raise EmptyDataError(f"no usable records in {log_path} "
                              f"({stats.skipped} skipped, {stats.filtered} filtered)")
@@ -528,7 +584,7 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
         "records_filtered": stats.filtered,
         "n_users": len(result.entropies),
     }
-    return _write_run(out_dir, "ingest", items, result, started)
+    return _write_run(out_dir, "ingest", items, result, started, stage_times)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,19 @@ Sessionizer (ingest.py) both apply the rule through these two calls.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
+import numpy as np
+
 from .agents import BACK, FORWARD, KIND_NAMES, TELEPORT
-from .errors import ProtocolError
+from .errors import DataError, ProtocolError
+from .graph import WebGraph
 
 
 class SessionTree:
@@ -60,38 +67,195 @@ class SessionDescriptor(NamedTuple):
 class TrafficTally:
     """Mergeable accumulator of page, link, and session-start counts.
 
-    per_user_visits maps user -> Counter(page -> tallied visits) and backs
-    the entropy descriptor.
+    Counters, so any hashable pages count, with no graph behind them: the
+    simulator's workers and the log Sessionizer count into one click by
+    click. Each user's visit Counter belongs to whoever feeds the tally.
     """
 
-    __slots__ = ("page_visits", "link_visits", "session_starts", "per_user_visits")
+    __slots__ = ("page_visits", "link_visits", "session_starts")
 
     def __init__(self):
         self.page_visits = Counter()
         self.link_visits = Counter()
         self.session_starts = Counter()
-        self.per_user_visits = {}
 
     def merge(self, other: "TrafficTally") -> "TrafficTally":
         """Key-wise addition of another tally into this one."""
         self.page_visits.update(other.page_visits)
         self.link_visits.update(other.link_visits)
         self.session_starts.update(other.session_starts)
-        for user, visits in other.per_user_visits.items():
-            if user in self.per_user_visits:
-                self.per_user_visits[user].update(visits)
-            else:
-                self.per_user_visits[user] = Counter(visits)
         return self
 
     def total_sessions(self) -> int:
         return sum(self.session_starts.values())
 
 
+def count_arrays(tally: TrafficTally, graph: WebGraph) -> tuple:
+    """A tally of graph pages as (pages, links, starts) int64 arrays.
+
+    pages and starts are indexed by page id, links by CSR position.
+
+    Raises:
+        DataError: a page outside the graph, or a link it does not hold.
+    """
+    links = tally.link_visits
+    ends = np.fromiter(chain.from_iterable(links), np.int64, 2 * len(links))
+    link_counts = np.zeros(graph.n_edges, dtype=np.int64)
+    link_counts[graph.edge_positions(ends[0::2], ends[1::2])] = np.fromiter(
+        links.values(), np.int64, len(links))
+    return (_page_array(tally.page_visits, graph.n), link_counts,
+            _page_array(tally.session_starts, graph.n))
+
+
+def _page_array(counts: Counter, n: int) -> np.ndarray:
+    pages = np.fromiter(counts, np.int64, len(counts))
+    if pages.size and not (0 <= pages.min() and pages.max() < n):
+        bad = pages[(pages < 0) | (pages >= n)][0]
+        raise DataError(f"page {bad} is not in the graph [0, {n})")
+    out = np.zeros(n, dtype=np.int64)
+    out[pages] = np.fromiter(counts.values(), np.int64, len(counts))
+    return out
+
+
+class ArrayTally:
+    """Page, link and session-start counts over one graph, as int64 arrays.
+
+    What simulate returns: each worker counts into a TrafficTally, ships
+    its count_arrays, and the parent adds them. pages and starts are
+    indexed by page id, links by CSR position. page_visits, link_visits
+    and session_starts read them as a TrafficTally's Counters read:
+    read-only Mappings over the nonzero entries, in key order.
+    """
+
+    __slots__ = ("graph", "pages", "links", "starts")
+
+    def __init__(self, graph: WebGraph, pages: np.ndarray, links: np.ndarray,
+                 starts: np.ndarray):
+        self.graph = graph
+        self.pages = pages
+        self.links = links
+        self.starts = starts
+
+    @property
+    def page_visits(self) -> "PageCounts":
+        return PageCounts(self.pages)
+
+    @property
+    def link_visits(self) -> "LinkCounts":
+        return LinkCounts(self.links, self.graph)
+
+    @property
+    def session_starts(self) -> "PageCounts":
+        return PageCounts(self.starts)
+
+    def merge(self, other: "ArrayTally") -> "ArrayTally":
+        """Add another tally of the same graph into this one."""
+        if (other.pages.shape != self.pages.shape
+                or other.links.shape != self.links.shape):
+            raise DataError("cannot merge tallies of different graphs")
+        self.pages += other.pages
+        self.links += other.links
+        self.starts += other.starts
+        return self
+
+
+class CountView(Mapping):
+    """Read-only Mapping over the nonzero entries of a count array, in key order.
+
+    columns() gives (key columns, counts) as arrays; iteration, values()
+    and items() read them, with no lookup per key.
+    """
+
+    __slots__ = ("_counts",)
+
+    def columns(self) -> tuple:
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator:
+        return _keys(self.columns()[0])
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._counts))
+
+    def values(self) -> ValuesView:
+        return _CountValues(self)
+
+    def items(self) -> ItemsView:
+        return _CountItems(self)
+
+
+def _keys(columns) -> Iterator:
+    """The keys of key columns: ints from one column, tuples from more."""
+    if len(columns) == 1:
+        return iter(columns[0].tolist())
+    return zip(*(c.tolist() for c in columns))
+
+
+class _CountValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.columns()[1].tolist())
+
+
+class _CountItems(ItemsView):
+    def __iter__(self):
+        columns, counts = self._mapping.columns()
+        return zip(_keys(columns), counts.tolist())
+
+
+class PageCounts(CountView):
+    """Page id -> count, over an int64 array indexed by page id."""
+
+    __slots__ = ()
+
+    def __init__(self, counts: np.ndarray):
+        self._counts = counts
+
+    def columns(self) -> tuple:
+        pages = np.flatnonzero(self._counts)
+        return (pages,), self._counts[pages]
+
+    def __getitem__(self, page) -> int:
+        try:
+            i = operator.index(page)
+        except TypeError:
+            raise KeyError(page) from None
+        if 0 <= i < self._counts.size and self._counts[i]:
+            return int(self._counts[i])
+        raise KeyError(page)
+
+
+class LinkCounts(CountView):
+    """(src, dst) -> count, over an int64 array indexed by CSR position."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, counts: np.ndarray, graph: WebGraph):
+        self._counts = counts
+        self._graph = graph
+
+    def columns(self) -> tuple:
+        at = np.flatnonzero(self._counts)
+        src, dst = np.divmod(self._graph.edge_keys()[at], self._graph.n)
+        return (src, dst), self._counts[at]
+
+    def __getitem__(self, link) -> int:
+        try:
+            src, dst = map(operator.index, link)
+        except (TypeError, ValueError):
+            raise KeyError(link) from None
+        graph = self._graph
+        if 0 <= src < graph.n:
+            lo, hi = graph.offsets_view[src], graph.offsets_view[src + 1]
+            at = bisect_left(graph.neighbors_view, dst, lo, hi)
+            if at < hi and graph.neighbors_view[at] == dst and self._counts[at]:
+                return int(self._counts[at])
+        raise KeyError(link)
+
+
 def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
     """Start a session tree at root and tally its empty-referrer request.
 
-    visits is the user's Counter in tally.per_user_visits.
+    visits is the user's visit Counter.
     """
     # d[k] = d.get(k, 0) + 1 counts without Counter.__missing__ on new keys
     starts = tally.session_starts
@@ -107,7 +271,7 @@ def follow(tally: TrafficTally, visits: Counter, tree: SessionTree, src, dst) ->
 
     A first visit grows the tree and tallies the page and the link; a
     page already in the tree is a cache hit and changes nothing. visits
-    is the user's Counter in tally.per_user_visits.
+    is the user's visit Counter.
     """
     if dst in tree.depth:
         return False
@@ -146,7 +310,7 @@ class RunResult:
     """In-memory outcome of a run, simulated or ingested from a log."""
 
     descriptors: list       # sorted by (user, session index)
-    tally: TrafficTally     # aggregate counts; per-user vectors dropped
+    tally: TrafficTally | ArrayTally   # aggregate counts (ArrayTally: simulate)
     entropies: list         # entropy_row per user, sorted by user
     log_lines: list | None = None   # the exported request log, if any
 
@@ -174,17 +338,17 @@ class RunResult:
             "total_link_visits": sum(self.tally.link_visits.values()),
             "mean_session_size": sum(d.size for d in self.descriptors) / n,
             "mean_session_depth": sum(d.depth for d in self.descriptors) / n,
-            "mean_user_entropy": (sum(s for _, s, _ in entropies) / len(entropies)
-                                  if entropies else math.nan),
+            # fsum rounds once, so the row order cannot move the last bit
+            "mean_user_entropy": (math.fsum(s for _, s, _ in entropies)
+                                  / len(entropies) if entropies else math.nan),
         }
 
 
 class SessionRecorder:
     """Builds session trees from (kind, page) steps and feeds a TrafficTally.
 
-    One recorder per user; it counts into the user's visit Counter in
-    tally.per_user_visits, made at construction when the tally has none.
-    record() takes a step as the step functions
+    One recorder per user; visits is its user's visit Counter, which
+    entropy_row reads. record() takes a step as the step functions
     return it, kind one of TELEPORT, FORWARD or BACK, and returns the
     descriptor of the session a teleport just closed (None otherwise);
     close() finishes the last session. requests, when given, is a list
@@ -199,7 +363,7 @@ class SessionRecorder:
     def __init__(self, user, tally: TrafficTally, requests: list | None = None):
         self.user = user
         self.tally = tally
-        self.visits = tally.per_user_visits.setdefault(user, Counter())
+        self.visits = Counter()
         self.tree = None
         self.position = None
         self.clicks = 0

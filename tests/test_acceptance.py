@@ -313,7 +313,7 @@ def test_criterion_10b_energy_monotonicity():
     checked = ends = 0
     while checked < 10_000 or ends < 2_000:
         before = state.energy if state.current is not None else None
-        seen_before = set(state.session_seen)
+        seen_before = set(state.session_delta)
         kind, to = abc_step(state, graph, params)
         if before is None:
             continue

@@ -340,7 +340,7 @@ class TestAbcStep:
         prev_energy = None
         for _ in range(3000):
             before = state.energy if state.current is not None else None
-            seen_before = set(state.session_seen)
+            seen_before = set(state.session_delta)
             kind, to = abc_step(state, graph, params)
             if before is None:
                 continue
@@ -369,7 +369,7 @@ class TestAbcStep:
             kind, _ = abc_step(state, graph, params)
             if kind == TELEPORT:
                 assert state.history == []
-            assert all(p in state.session_seen for p in state.history)
+            assert all(p in state.session_delta for p in state.history)
 
 
 class TestDeterminism:

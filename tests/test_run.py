@@ -5,15 +5,20 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from webnav import (ModelParams, RunManifest, SimConfig, compare_runs,
-                    generate_scale_free, run_ingest, run_simulation, simulate)
+from webnav import run as run_module
+from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
+                    compare_runs, generate_scale_free, run_ingest,
+                    run_simulation, simulate)
 from webnav import cli
 from webnav.cli import main
 from webnav.errors import ConfigurationError
-from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _write_counter_csv,
-                        build_config, parse_config_file, partition_agents)
+from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _count_columns,
+                        _write_count_csv, build_config, parse_config_file,
+                        partition_agents, write_outputs)
+from webnav.session import ArrayTally
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -131,9 +136,11 @@ class TestSimulate:
             config = SimConfig(model="abc", n_agents=12, sessions=20, seed=99,
                                workers=workers)
             result = simulate(config, graph=graph)
-            # per-user vectors become entropies in the workers; none ship
-            assert result.tally.per_user_visits == {}
+            # per-user vectors become entropies in the workers; the
+            # tallies ship as count arrays
+            assert isinstance(result.tally, ArrayTally)
             snapshot = (result.descriptors, dict(result.tally.page_visits),
+                        dict(result.tally.link_visits),
                         result.entropies, dict(result.click_lengths))
             if base is None:
                 base = snapshot
@@ -160,12 +167,45 @@ class TestCounterCsv:
     def test_rows_follow_sorted_items(self, tmp_path, counter):
         split_key = isinstance(next(iter(counter)), tuple)
         path = tmp_path / "tally.csv"
-        _write_counter_csv(path, ["key", "count"], counter, split_key)
+        _write_count_csv(path, ["key", "count"], *_count_columns(counter))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         expected = [[str(x) for x in (*k, c)] if split_key else [str(k), str(c)]
                     for k, c in sorted(counter.items())]
         assert rows == expected
+
+    @pytest.mark.parametrize("rows", [0, 1, 49, 50])
+    def test_integer_columns_match_csv_writer(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(run_module, "_WRITE_CHUNK", 7)  # 49 rows: 7 full chunks
+        rng = np.random.default_rng(rows)
+        src = np.sort(rng.integers(0, 10**12, rows))
+        dst = rng.integers(0, 10**6, rows)
+        counts = rng.integers(1, 10**9, rows)
+        path = tmp_path / "tally.csv"
+        _write_count_csv(path, ["src", "dst", "count"], (src, dst), counts)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "wt", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["src", "dst", "count"])
+            writer.writerows(zip(src.tolist(), dst.tolist(), counts.tolist()))
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_array_and_counter_tallies_write_same_bytes(self, tmp_path, graph):
+        config = SimConfig(model="pagerank", n_agents=4, sessions=40, seed=5)
+        result = simulate(config, graph=graph)
+        assert isinstance(result.tally, ArrayTally)
+        counters = TrafficTally()
+        for name in ("page_visits", "link_visits", "session_starts"):
+            # the same counts, keys in reverse order
+            getattr(counters, name).update(
+                dict(reversed(list(getattr(result.tally, name).items()))))
+        for out, tally in ((tmp_path / "arrays", result.tally),
+                           (tmp_path / "counters", counters)):
+            write_outputs(out, result.descriptors, tally, result.entropies,
+                          result.click_lengths)
+        for path in sorted((tmp_path / "arrays").iterdir()):
+            assert filecmp.cmp(path, tmp_path / "counters" / path.name,
+                               shallow=False), path.name
 
 
 class TestRunSimulation:
@@ -178,6 +218,17 @@ class TestRunSimulation:
             if name == "run_manifest.txt":
                 continue  # carries wall time
             assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False), name
+
+    def test_manifest_records_stage_times_and_peak_rss(self, tmp_path, graph):
+        out, manifest = run_to_dir(tmp_path, "sim", 2, graph, export=True)
+        ingest = run_ingest(out / "requests.log", tmp_path / "ingest")
+        for m, stage in ((manifest, "time.simulate_s"), (ingest, "time.sessionize_s")):
+            for key in (stage, "time.write_s", "peak_rss_mb", "peak_rss_mb.children"):
+                assert float(m[key]) >= 0, key
+            assert float(m["peak_rss_mb"]) > 0
+            assert float(m[stage]) + float(m["time.write_s"]) <= float(m["wall_time_s"])
+        assert "time.sessionize_s" not in manifest.values
+        assert "time.simulate_s" not in ingest.values
 
     def test_manifest_contents(self, tmp_path, graph):
         _, manifest = run_to_dir(tmp_path, "m", 1, graph)

@@ -1,13 +1,16 @@
 import math
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webnav import BACK, FORWARD, TELEPORT, TrafficTally, entropy_bits
-from webnav.errors import ProtocolError
-from webnav.session import SessionRecorder, follow, open_session
+from webnav import (BACK, FORWARD, TELEPORT, ModelParams, TrafficTally,
+                    entropy_bits, generate_scale_free, make_agent, pagerank_step)
+from webnav.errors import DataError, ProtocolError
+from webnav.session import (ArrayTally, SessionRecorder, count_arrays, follow,
+                            open_session)
 
 
 def record_all(outcomes, user="u"):
@@ -94,7 +97,7 @@ class TestSessionTree:
 class TestCacheKernel:
     def test_follow_tallies_first_visit_only(self):
         tally = TrafficTally()
-        visits = tally.per_user_visits["u"] = Counter()
+        visits = Counter()
         tree = open_session(tally, visits, "A")
         assert follow(tally, visits, tree, "A", "B") is True
         assert follow(tally, visits, tree, "A", "B") is False  # cache hit
@@ -103,17 +106,17 @@ class TestCacheKernel:
         assert tally.page_visits == {"A": 1, "B": 1}
         assert tally.link_visits == {("A", "B"): 1}
         assert tally.session_starts == {"A": 1}
-        assert tally.per_user_visits == {"u": Counter({"A": 1, "B": 1})}
+        assert visits == Counter({"A": 1, "B": 1})
 
     def test_recorder_counts_into_its_users_vector(self):
         tally = TrafficTally()
         a, b = SessionRecorder("a", tally), SessionRecorder("b", tally)
-        assert a.visits is tally.per_user_visits["a"]
+        assert a.visits == {} and a.visits is not b.visits
         for outcome in [(TELEPORT, "A"), (FORWARD, "B"), (TELEPORT, "A")]:
             a.record(outcome)
         b.record((TELEPORT, "B"))
-        assert tally.per_user_visits == {"a": Counter({"A": 2, "B": 1}),
-                                         "b": Counter({"B": 1})}
+        assert (a.visits, b.visits) == (Counter({"A": 2, "B": 1}), Counter({"B": 1}))
+        assert tally.page_visits == {"A": 2, "B": 2}
 
     def test_unknown_kind_rejected(self):
         rec = SessionRecorder("u", TrafficTally())
@@ -132,18 +135,18 @@ class TestCacheKernel:
 class TestEntropy:
     def test_single_page_zero(self):
         tally = TrafficTally()
-        visits = tally.per_user_visits["u"] = Counter()
+        visits = Counter()
         for _ in range(5):
             open_session(tally, visits, "A")
-        assert entropy_bits(tally.per_user_visits["u"].values()) == 0.0
+        assert entropy_bits(visits.values()) == 0.0
 
     def test_four_equal_pages_two_bits(self):
         tally = TrafficTally()
-        visits = tally.per_user_visits["u"] = Counter()
+        visits = Counter()
         tree = open_session(tally, visits, "A")
         for page in "BCD":
             follow(tally, visits, tree, "A", page)
-        assert entropy_bits(tally.per_user_visits["u"].values()) == pytest.approx(2.0)
+        assert entropy_bits(visits.values()) == pytest.approx(2.0)
 
     def test_three_one_split(self):
         # -0.75 log2 0.75 - 0.25 log2 0.25, evaluated directly
@@ -152,8 +155,10 @@ class TestEntropy:
         assert entropy_bits([3, 1]) == pytest.approx(0.8113, abs=1e-4)
 
     def test_unknown_user_rejected(self):
-        with pytest.raises(KeyError):
-            entropy_bits(TrafficTally().per_user_visits["ghost"].values())
+        # a user who never visited a page has no entropy
+        ghost = SessionRecorder("ghost", TrafficTally())
+        with pytest.raises(ValueError, match="at least one visit"):
+            entropy_bits(ghost.visits.values())
 
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=30))
     @settings(max_examples=300)
@@ -220,8 +225,7 @@ class TestTallyMerge:
 
     def as_tuple(self, tally):
         return (dict(tally.page_visits), dict(tally.link_visits),
-                dict(tally.session_starts),
-                {u: dict(c) for u, c in tally.per_user_visits.items()})
+                dict(tally.session_starts))
 
     @given(session_strategy, session_strategy)
     @settings(max_examples=200, deadline=None)
@@ -248,9 +252,99 @@ class TestTallyMerge:
         assert self.as_tuple(left) == self.as_tuple(right)
 
     def test_merge_sums_shared_users(self):
+        # two workers' tallies of one user: the aggregate counts add
         a, b = TrafficTally(), TrafficTally()
-        open_session(a, a.per_user_visits.setdefault("u", Counter()), "X")
-        b_visits = b.per_user_visits.setdefault("u", Counter())
+        open_session(a, Counter(), "X")
+        b_visits = Counter()
         follow(b, b_visits, open_session(b, b_visits, "X"), "X", "Y")
         a.merge(b)
-        assert a.per_user_visits["u"] == Counter({"X": 2, "Y": 1})
+        assert a.page_visits == {"X": 2, "Y": 1}
+        assert a.link_visits == {("X", "Y"): 1}
+        assert a.session_starts == {"X": 2}
+        assert not hasattr(a, "per_user_visits")
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return generate_scale_free(400, 2, 2.1, seed=3)
+
+
+def walked_tally(graph, seed=1, steps=3000):
+    """A TrafficTally of three pagerank walkers on graph."""
+    tally = TrafficTally()
+    params = ModelParams()
+    for aid in range(3):
+        state = make_agent(aid, seed, params)
+        record = SessionRecorder(aid, tally).record
+        for _ in range(steps):
+            record(pagerank_step(state, graph, params))
+    return tally
+
+
+def dense(tally, graph):
+    return ArrayTally(graph, *count_arrays(tally, graph))
+
+
+NAMES = ("page_visits", "link_visits", "session_starts")
+
+
+class TestArrayTally:
+    def test_views_read_as_the_counters(self, graph):
+        tally = walked_tally(graph)
+        arrays = dense(tally, graph)
+        for name in NAMES:
+            view, counter = getattr(arrays, name), getattr(tally, name)
+            assert view == counter
+            assert list(view.items()) == sorted(counter.items())
+            assert list(view) == sorted(counter)
+            assert list(view.values()) == [counter[k] for k in sorted(counter)]
+            assert len(view) == len(counter)
+            for key, count in counter.items():
+                assert key in view and view[key] == count
+
+    def test_absent_keys(self, graph):
+        arrays = dense(TrafficTally(), graph)
+        link = (0, int(graph.out_neighbors(0)[0]))
+        for page in (0, -1, graph.n, "0", 1.5, None):
+            assert page not in arrays.page_visits
+        for key in (link, (0, 0), (-1, 0), (graph.n, 0), (0,), "ab", None):
+            assert key not in arrays.link_visits
+        assert arrays.page_visits.get(0) is None
+        assert len(arrays.link_visits) == 0
+        assert list(arrays.link_visits.items()) == []
+
+    def test_merge_adds_after_pickling(self, graph):
+        a, b = walked_tally(graph, seed=1), walked_tally(graph, seed=2)
+        arrays = dense(a, graph)
+        arrays.merge(pickle.loads(pickle.dumps(dense(b, graph))))
+        a.merge(b)
+        for name in NAMES:
+            assert getattr(arrays, name) == getattr(a, name)
+
+    def test_merge_rejects_another_graph(self, graph):
+        other = generate_scale_free(300, 2, 2.1, seed=3)
+        with pytest.raises(DataError, match="different graphs"):
+            dense(TrafficTally(), graph).merge(dense(TrafficTally(), other))
+
+    def test_link_not_in_graph_raises(self, graph):
+        tally = walked_tally(graph)
+        absent = min(set(range(1, graph.n)) - set(graph.out_neighbors(0).tolist()))
+        tally.link_visits[(0, absent)] += 1
+        with pytest.raises(DataError, match=f"link 0 -> {absent} is not in the graph"):
+            count_arrays(tally, graph)
+
+    def test_link_with_a_real_links_key_raises(self, graph):
+        # 0 -> n + v has the key of 1 -> v: it must not count there
+        tally = walked_tally(graph)
+        v = int(graph.out_neighbors(1)[0])
+        tally.link_visits[(0, graph.n + v)] += 1
+        with pytest.raises(DataError, match="is not in the graph"):
+            count_arrays(tally, graph)
+
+    @pytest.mark.parametrize("name", ["page_visits", "session_starts"])
+    def test_page_outside_graph_raises(self, graph, name):
+        for page in (-1, graph.n):
+            tally = walked_tally(graph, steps=50)
+            getattr(tally, name)[page] += 1
+            with pytest.raises(DataError, match=f"page {page} is not in the graph"):
+                count_arrays(tally, graph)
