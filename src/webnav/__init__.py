@@ -21,7 +21,7 @@ from .metrics import (LogBinnedHistogram, PowerLawFit, ccdf,
 from .run import (RunManifest, SimConfig, compare_runs, format_comparison,
                   run_ingest, run_simulation, simulate)
 from .session import (RunResult, SessionDescriptor, SessionRecorder,
-                      TrafficTally, entropy_bits)
+                      SessionTable, TrafficTally, entropy_bits)
 
 __all__ = [
     # models
@@ -30,7 +30,8 @@ __all__ = [
     # graphs
     "WebGraph", "generate_scale_free", "load_edge_list", "write_edge_list",
     # sessions and tallies
-    "SessionDescriptor", "SessionRecorder", "TrafficTally", "entropy_bits",
+    "SessionDescriptor", "SessionTable", "SessionRecorder", "TrafficTally",
+    "entropy_bits",
     # log ingest
     "LogRecord", "ParseStats", "parse_log", "Sessionizer", "sessionize",
     # statistics

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .session import (RunResult, SessionDescriptor, SessionTree,
+from .session import (RunResult, SessionDescriptor, SessionTable, SessionTree,
                       TrafficTally, entropy_row, follow, open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
@@ -188,9 +188,9 @@ class Sessionizer:
     def run(self, records: Iterable[LogRecord]) -> RunResult:
         """Sessionize a whole record stream: feed every record, then finish.
 
-        Descriptors come sorted by (user, index) whatever the interleaving
-        of users' records, and each user's visit vector is reduced to its
-        entropy row, as simulate does.
+        The session table comes sorted by (user, index) whatever the
+        interleaving of users' records, and each user's visit vector is
+        reduced to its entropy row, as simulate does.
         """
         descriptors = []
         keep = descriptors.extend
@@ -201,7 +201,8 @@ class Sessionizer:
         entropies = [entropy_row(user, users[user].visits) for user in sorted(users)]
         keep(self.finish())
         descriptors.sort()  # (user, index) is unique: no tie reaches the root
-        return RunResult(descriptors, self.tally, entropies)
+        return RunResult(SessionTable.from_rows(descriptors), self.tally,
+                         entropies)
 
     def _expire(self, user, state: _UserState,
                 deadline: float) -> list[SessionDescriptor]:

@@ -29,7 +29,8 @@ from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
 from .session import (ArrayTally, CountView, RunResult, SessionRecorder,
-                      TrafficTally, count_arrays, entropy_row)
+                      SessionTable, TrafficTally, column_list, count_arrays,
+                      entropy_row, session_block)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -217,7 +218,7 @@ def partition_agents(quotas: list[int], n_queues: int) -> list[list[int]]:
 @dataclass
 class AgentOutput:
     agent_id: int
-    descriptors: list
+    sessions: np.ndarray    # session_block of the agent's descriptors
     entropy: tuple          # entropy_row of the agent
     log_lines: list | None
 
@@ -226,6 +227,8 @@ class AgentOutput:
 class QueueOutput:
     agents: list            # AgentOutput, in queue order
     counts: tuple           # count_arrays(tally of the queue, graph)
+    compute_s: float        # the queue's compute time
+    end: float              # perf_counter() at its end: system-wide on Linux
 
 
 def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
@@ -255,14 +258,16 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
         lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
                  f"\t{target}\n"
                  for i, (ref, target) in enumerate(requests, start=1)]
+    # one int64 block pickles as a buffer, not as a tuple per session
     return AgentOutput(agent_id=agent_id,
-                       descriptors=descriptors,
+                       sessions=session_block(descriptors),
                        entropy=entropy_row(agent_id, recorder.visits),
                        log_lines=lines)
 
 
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                params: ModelParams, master_seed: int, export: bool) -> QueueOutput:
+    start = time.perf_counter()
     tally = TrafficTally()
     zipf = ZipfRankTable(params.beta)
     agents = [
@@ -271,7 +276,10 @@ def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
         for agent_id, quota in queue
     ]
     # arrays pickle and add far faster than tuple-keyed Counters
-    return QueueOutput(agents=agents, counts=count_arrays(tally, graph))
+    counts = count_arrays(tally, graph)
+    end = time.perf_counter()
+    return QueueOutput(agents=agents, counts=counts, compute_s=end - start,
+                       end=end)
 
 
 _POOL_STATE: dict = {}
@@ -289,7 +297,12 @@ def _pool_run(queue):
 
 
 def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
-    """Run the configured model; deterministic for any worker count."""
+    """Run the configured model; deterministic for any worker count.
+
+    The result's times hold time.queue_compute_s, the slowest queue's
+    compute time, and time.queue_tail_s, from the last queue's end to
+    the merged result (transfer and merge).
+    """
     config.validate()
     if graph is None:
         graph = resolve_graph(config)
@@ -315,15 +328,19 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
         agent_outputs.extend(out.agents)
     agent_outputs.sort(key=lambda a: a.agent_id)
 
-    descriptors = []
+    blocks = []
     entropies = []
     log_lines = [] if config.export_log else None
     for agent in agent_outputs:
-        descriptors.extend(agent.descriptors)
+        blocks.append(agent.sessions)
         entropies.append(agent.entropy)
         if config.export_log:
             log_lines.extend(agent.log_lines)
-    return RunResult(descriptors, tally, entropies, log_lines)
+    sessions = SessionTable.from_block(np.concatenate(blocks))
+    times = {"time.queue_compute_s": max(out.compute_s for out in outputs),
+             "time.queue_tail_s": (time.perf_counter()
+                                   - max(out.end for out in outputs))}
+    return RunResult(sessions, tally, entropies, log_lines, times)
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +380,28 @@ def _count_columns(counts) -> tuple:
     return (keys,), values
 
 
-def _write_count_csv(path, header, columns, counts):
-    """One row per key: its columns, then its count.
+def _write_columns_csv(path, header, columns):
+    """One row per position of the columns, which share one length.
 
     Integer-array columns are written by one %-format per chunk of rows,
-    which gives the bytes csv.writer would; any other keys (log URLs) go
-    through csv.writer, which quotes them.
+    which gives the bytes csv.writer would; when any column is not an
+    array (ids from a log), the rows go through csv.writer, which quotes.
     """
     with open(path, "wt", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if not all(isinstance(c, np.ndarray) for c in columns):
-            writer.writerows(zip(*columns, counts.tolist()))
+            writer.writerows(zip(*map(column_list, columns)))
             return
-        line = ",".join(["%d"] * (len(columns) + 1)) + "\n"
-        for lo in range(0, counts.size, _WRITE_CHUNK):
-            part = np.column_stack([c[lo:lo + _WRITE_CHUNK]
-                                    for c in (*columns, counts)])
+        line = ",".join(["%d"] * len(columns)) + "\n"
+        for lo in range(0, columns[0].size, _WRITE_CHUNK):
+            part = np.column_stack([c[lo:lo + _WRITE_CHUNK] for c in columns])
             fh.write(line * len(part) % tuple(part.ravel().tolist()))
+
+
+def _write_count_csv(path, header, columns, counts):
+    """One row per key: its columns, then its count."""
+    _write_columns_csv(path, header, (*columns, counts))
 
 
 def _write_distribution_csv(path, samples: np.ndarray, ratio=DEFAULT_BIN_RATIO):
@@ -403,10 +424,12 @@ def _fit_row(metric, samples: np.ndarray, xmin):
         return (metric, "nan", xmin, positive.size, "nan")
 
 
-def write_outputs(out_dir, descriptors, tally, entropies, click_lengths) -> dict:
+def write_outputs(out_dir, sessions: SessionTable, tally, entropies,
+                  click_lengths) -> dict:
     """Write the six descriptor streams, distributions, and fit summaries.
 
-    tally is a TrafficTally or an ArrayTally. Returns manifest entries:
+    tally is a TrafficTally or an ArrayTally; click_lengths a count
+    mapping, as RunResult.click_lengths gives. Returns manifest entries:
     metric name -> file name plus summary stats.
     """
     out = Path(out_dir)
@@ -415,9 +438,10 @@ def write_outputs(out_dir, descriptors, tally, entropies, click_lengths) -> dict
     pages = _count_columns(tally.page_visits)
     links = _count_columns(tally.link_visits)
     starts = _count_columns(tally.session_starts)
-    _write_csv(out / "sessions.csv",
-               ["user_id", "session_index", "root", "size", "depth"],
-               ([d.user, d.index, d.root, d.size, d.depth] for d in descriptors))
+    _write_columns_csv(out / "sessions.csv",
+                       ["user_id", "session_index", "root", "size", "depth"],
+                       (sessions.user, sessions.index, sessions.root,
+                        sessions.size, sessions.depth))
     _write_count_csv(out / "page_traffic.csv", ["page", "count"], *pages)
     _write_count_csv(out / "link_traffic.csv", ["src", "dst", "count"], *links)
     _write_count_csv(out / "empty_referrer_traffic.csv", ["page", "count"], *starts)
@@ -426,13 +450,12 @@ def write_outputs(out_dir, descriptors, tally, entropies, click_lengths) -> dict
     _write_count_csv(out / "session_clicks.csv", ["clicks", "count"],
                      *_count_columns(click_lengths))
 
-    n = len(descriptors)
     samples = {
         "page_traffic": pages[1],
         "link_traffic": links[1],
         "empty_referrer": starts[1],
-        "session_size": np.fromiter((d.size for d in descriptors), np.int64, n),
-        "session_depth": np.fromiter((d.depth for d in descriptors), np.int64, n),
+        "session_size": sessions.size,
+        "session_depth": sessions.depth,
     }
     for metric, values in samples.items():
         _write_distribution_csv(out / f"dist_{metric}.csv", values)
@@ -499,13 +522,13 @@ def _peak_rss_mb() -> dict:
 
 
 def _write_run(out_dir, command: str, items: dict, result: RunResult,
-               started: float, stage_times: dict) -> RunManifest:
+               started: float, stage_times: dict, later: dict) -> RunManifest:
     """Write a run's output files and save its manifest.
 
     The manifest holds the command, the caller's items, the result's
     summary, the wall time since started, the caller's stage_times
-    (time.<stage>_s), time.write_s, the peak RSS, then the names of the
-    files.
+    (time.<stage>_s), time.write_s, the caller's later timings and
+    rates, the peak RSS, then the names of the files.
     """
     out = Path(out_dir)
     write_start = time.perf_counter()
@@ -516,7 +539,7 @@ def _write_run(out_dir, command: str, items: dict, result: RunResult,
             fh.writelines(result.log_lines)
         entries["file.request_log"] = EXPORT_LOG_NAME
     measured = {**stage_times, "time.write_s": time.perf_counter() - write_start,
-                **_peak_rss_mb()}
+                **later, **_peak_rss_mb()}
     values = {"tool": f"webnav {__version__}", "command": command, **items}
     values.update((key, _fmt(v)) for key, v in result.summary().items())
     values["wall_time_s"] = _fmt(time.perf_counter() - started)
@@ -533,7 +556,11 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
         graph = resolve_graph(config)
     sim_start = time.perf_counter()
     result = simulate(config, graph)
-    stage_times = {"time.simulate_s": time.perf_counter() - sim_start}
+    simulate_s = time.perf_counter() - sim_start
+    stage_times = {"time.simulate_s": simulate_s}
+    # near 0 when the caller passed the graph in
+    later = {"time.graph_s": sim_start - started, **result.times,
+             "clicks_per_s": result.total_clicks / simulate_s}
     p = config.params
     items = {
         "model": config.model,
@@ -552,7 +579,7 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
         "n_edges": graph.n_edges,
     }
     return _write_run(config.out_dir, "simulate", items, result, started,
-                      stage_times)
+                      stage_times, later)
 
 
 def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
@@ -566,7 +593,8 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
                                            page_extensions=page_extensions,
                                            stats=stats))
     # parse_log is a generator that run() drains: one block covers both
-    stage_times = {"time.sessionize_s": time.perf_counter() - started}
+    sessionize_s = time.perf_counter() - started
+    stage_times = {"time.sessionize_s": sessionize_s}
     if not result.descriptors:
         raise EmptyDataError(f"no usable records in {log_path} "
                              f"({stats.skipped} skipped, {stats.filtered} filtered)")
@@ -584,7 +612,9 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
         "records_filtered": stats.filtered,
         "n_users": len(result.entropies),
     }
-    return _write_run(out_dir, "ingest", items, result, started, stage_times)
+    lines = stats.parsed + stats.skipped + stats.filtered  # non-empty lines
+    return _write_run(out_dir, "ingest", items, result, started, stage_times,
+                      {"lines_per_s": lines / sessionize_s})
 
 
 # ---------------------------------------------------------------------------

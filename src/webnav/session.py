@@ -14,7 +14,8 @@ import operator
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -305,14 +306,110 @@ def entropy_row(user, visits: Counter) -> tuple:
     return user, entropy_bits(counts), sum(counts)
 
 
+class SessionTable:
+    """The sessions of a run, one row per session, as columns.
+
+    Columns are the SessionDescriptor fields. index, size, depth and
+    clicks are int64 arrays; user and root are int64 arrays for a
+    simulated run and lists for an ingested one, whose ids are strings.
+    The table iterates as SessionDescriptor rows and pickles as its
+    columns.
+    """
+
+    __slots__ = SessionDescriptor._fields
+
+    def __init__(self, user, index, root, size, depth, clicks):
+        self.user = user
+        self.index = index
+        self.root = root
+        self.size = size
+        self.depth = depth
+        self.clicks = clicks
+
+    @classmethod
+    def from_block(cls, block: np.ndarray) -> "SessionTable":
+        """A table of a (sessions, 6) int64 block, rows as session_block gives."""
+        return cls(*np.ascontiguousarray(block.T))
+
+    @classmethod
+    def from_rows(cls, rows: list) -> "SessionTable":
+        """A table of descriptor rows; user and root stay lists."""
+        user, index, root, size, depth, clicks = (
+            zip(*rows) if rows else ((),) * len(SessionDescriptor._fields))
+        return cls(list(user), _int64(index), list(root), _int64(size),
+                   _int64(depth), _int64(clicks))
+
+    @property
+    def columns(self) -> tuple:
+        return (self.user, self.index, self.root, self.size, self.depth,
+                self.clicks)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[SessionDescriptor]:
+        return map(SessionDescriptor._make, zip(*map(column_list, self.columns)))
+
+    def __eq__(self, other):
+        if not isinstance(other, SessionTable):
+            return NotImplemented
+        return all(column_list(a) == column_list(b)
+                   for a, b in zip(self.columns, other.columns))
+
+    def __reduce__(self):
+        return SessionTable, self.columns
+
+
+def session_block(rows: list) -> np.ndarray:
+    """Descriptor rows with integer ids as one (sessions, 6) int64 block."""
+    width = len(SessionDescriptor._fields)
+    flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+    return flat.reshape(-1, width)
+
+
+def _int64(values) -> np.ndarray:
+    return np.fromiter(values, np.int64, len(values))
+
+
+def column_list(column) -> list:
+    """A table column as a list: arrays convert, lists pass through."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+class ValueCounts(CountView):
+    """Value -> occurrences over an int64 sample array, in value order."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, samples: np.ndarray):
+        values, counts = np.unique(samples, return_counts=True)
+        self._values = values.astype(np.int64, copy=False)
+        self._counts = counts.astype(np.int64, copy=False)
+
+    def columns(self) -> tuple:
+        return (self._values,), self._counts
+
+    def __getitem__(self, value) -> int:
+        try:
+            v = operator.index(value)
+        except TypeError:
+            raise KeyError(value) from None
+        at = int(np.searchsorted(self._values, v))
+        if at < self._values.size and self._values[at] == v:
+            return int(self._counts[at])
+        raise KeyError(value)
+
+
 @dataclass
 class RunResult:
     """In-memory outcome of a run, simulated or ingested from a log."""
 
-    descriptors: list       # sorted by (user, session index)
+    descriptors: SessionTable       # sorted by (user, session index)
     tally: TrafficTally | ArrayTally   # aggregate counts (ArrayTally: simulate)
     entropies: list         # entropy_row per user, sorted by user
     log_lines: list | None = None   # the exported request log, if any
+    # manifest-only timings of producing the result: time.<stage>_s -> s
+    times: dict = field(default_factory=dict, compare=False)
 
     @property
     def total_sessions(self) -> int:
@@ -320,24 +417,26 @@ class RunResult:
 
     @property
     def total_clicks(self) -> int:
-        return sum(d.clicks for d in self.descriptors)
+        return int(self.descriptors.clicks.sum())
 
-    @property
-    def click_lengths(self) -> Counter:
+    @cached_property
+    def click_lengths(self) -> ValueCounts:
         """Clicks per session -> sessions."""
-        return Counter(d.clicks for d in self.descriptors)
+        return ValueCounts(self.descriptors.clicks)
 
     def summary(self) -> dict:
         """Totals and means of the run, as its manifest records them."""
-        n = len(self.descriptors)
+        table = self.descriptors
+        n = len(table)
         entropies = self.entropies
         return {
             "total_sessions": n,
             "total_clicks": self.total_clicks,
             "total_page_visits": sum(self.tally.page_visits.values()),
             "total_link_visits": sum(self.tally.link_visits.values()),
-            "mean_session_size": sum(d.size for d in self.descriptors) / n,
-            "mean_session_depth": sum(d.depth for d in self.descriptors) / n,
+            # integer sums, divided once: the same floats as the row sums
+            "mean_session_size": int(table.size.sum()) / n,
+            "mean_session_depth": int(table.depth.sum()) / n,
             # fsum rounds once, so the row order cannot move the last bit
             "mean_user_entropy": (math.fsum(s for _, s, _ in entropies)
                                   / len(entropies) if entropies else math.nan),

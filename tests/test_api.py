@@ -10,7 +10,8 @@ PUBLIC = [
     "ModelParams", "TELEPORT", "FORWARD", "BACK",
     "make_agent", "pagerank_step", "bookrank_step", "abc_step",
     "WebGraph", "generate_scale_free", "load_edge_list", "write_edge_list",
-    "SessionDescriptor", "SessionRecorder", "TrafficTally", "entropy_bits",
+    "SessionDescriptor", "SessionTable", "SessionRecorder", "TrafficTally",
+    "entropy_bits",
     "LogRecord", "ParseStats", "parse_log", "Sessionizer", "sessionize",
     "LogBinnedHistogram", "PowerLawFit", "histogram", "ccdf",
     "fit_power_law", "fit_geometric_ratio", "ks_statistic",

@@ -218,6 +218,15 @@ class TestSessionize:
         assert (out / "empty_referrer_traffic.csv").read_bytes() == (
             b'page,count\n"/a,b",1\n')
 
+    def test_string_ids_in_sessions_csv_are_quoted(self, tmp_path):
+        log = tmp_path / "requests.log"
+        log.write_text('0\tu,1\t-\t/a,b\n1\tu,1\t/a,b\t/c\n'
+                       '2\tv\t-\t/say "hi"\n')
+        run_ingest(log, tmp_path / "out")
+        assert (tmp_path / "out" / "sessions.csv").read_bytes() == (
+            b'user_id,session_index,root,size,depth\n'
+            b'"u,1",0,"/a,b",2,1\nv,0,"/say ""hi""",1,0\n')
+
     def test_regressed_record_does_not_age_its_session(self):
         # the regressed C must not pull the session's last activity below
         # 1000, or D (1400 s after it) would find the session expired

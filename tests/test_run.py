@@ -3,6 +3,7 @@ import csv
 import filecmp
 import re
 from collections import Counter
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,13 @@ from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
 from webnav import cli
 from webnav.cli import main
 from webnav.errors import ConfigurationError
-from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _count_columns,
-                        _write_count_csv, build_config, parse_config_file,
-                        partition_agents, write_outputs)
-from webnav.session import ArrayTally
+from webnav.agents import STEP_FUNCTIONS, TELEPORT, ZipfRankTable, make_agent
+from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK,
+                        _count_columns, _run_queue, _write_count_csv,
+                        build_config, parse_config_file, partition_agents,
+                        write_outputs)
+from webnav.session import (ArrayTally, SessionDescriptor, SessionRecorder,
+                            SessionTable, ValueCounts, session_block)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -148,6 +152,99 @@ class TestSimulate:
                 assert snapshot == base
 
 
+def reference_descriptors(config: SimConfig, graph) -> list:
+    """simulate's sessions as a list of descriptors, one agent at a time."""
+    zipf = ZipfRankTable(config.params.beta)
+    step = STEP_FUNCTIONS[config.model]
+    rows = []
+    for aid in range(config.n_agents):
+        state = make_agent(aid, config.seed, config.params, zipf)
+        recorder = SessionRecorder(aid, TrafficTally())
+        started = 0
+        while True:
+            outcome = step(state, graph, config.params)
+            if outcome[0] == TELEPORT:
+                if started == config.sessions:
+                    rows.append(recorder.close())
+                    break
+                started += 1
+            closed = recorder.record(outcome)
+            if closed is not None:
+                rows.append(closed)
+    return rows
+
+
+class TestSessionTable:
+    def test_rows_equal_reference_descriptors(self, graph):
+        config = SimConfig(model="bookrank", n_agents=6, sessions=30, seed=12,
+                           workers=2)
+        table = simulate(config, graph=graph).descriptors
+        assert isinstance(table, SessionTable)
+        rows = list(table)
+        assert rows == reference_descriptors(config, graph)
+        assert all(type(d) is SessionDescriptor for d in rows)
+        assert all(type(x) is int for x in rows[0])
+        assert len(table) == len(rows)
+
+    def test_one_and_two_workers_give_equal_tables(self, graph):
+        tables = [simulate(SimConfig(model="pagerank", n_agents=5, sessions=40,
+                                     seed=3, workers=w), graph=graph).descriptors
+                  for w in (1, 2)]
+        assert tables[0] == tables[1]
+        assert tables[0].clicks.dtype == tables[1].user.dtype == np.int64
+
+    def test_equality_reads_every_column(self):
+        rows = [SessionDescriptor(0, 0, 5, 2, 1, 3),
+                SessionDescriptor(0, 1, 7, 1, 0, 1)]
+        table = SessionTable.from_block(session_block(rows))
+        assert table == SessionTable.from_block(session_block(rows))
+        for at in range(len(SessionDescriptor._fields)):
+            changed = list(rows[1])
+            changed[at] += 1
+            other = SessionTable.from_block(
+                session_block([rows[0], SessionDescriptor(*changed)]))
+            assert table != other, SessionDescriptor._fields[at]
+        assert table != SessionTable.from_block(session_block(rows[:1]))
+        assert table != rows  # a table is not a list, even with equal rows
+
+    def test_string_ids_stay_lists(self):
+        rows = [SessionDescriptor("u,1", 0, "/a,b", 2, 1, 1),
+                SessionDescriptor("v", 0, "/c", 1, 0, 0)]
+        table = SessionTable.from_rows(rows)
+        assert table.user == ["u,1", "v"] and table.root == ["/a,b", "/c"]
+        assert table.size.dtype == np.int64
+        assert list(table) == rows
+        assert len(SessionTable.from_rows([])) == 0
+
+    def test_pickles_as_columns(self, graph):
+        result = simulate(SimConfig(model="abc", n_agents=4, sessions=20, seed=2),
+                          graph=graph)
+        table = result.descriptors
+        assert ForkingPickler.loads(ForkingPickler.dumps(table)) == table
+
+    def test_queue_output_pickles_as_its_buffers(self, graph):
+        # a per-session Python object (a descriptor tuple is ~20 B pickled)
+        # in the 800 sessions below would overrun the 4 KiB slack
+        queue = [(aid, 200) for aid in range(4)]
+        out = _run_queue(queue, "pagerank", graph, ModelParams(), 7, False)
+        buffers = (sum(a.nbytes for a in out.counts)
+                   + sum(agent.sessions.nbytes for agent in out.agents))
+        assert sum(len(agent.sessions) for agent in out.agents) == 800
+        assert len(ForkingPickler.dumps(out)) <= buffers + 4096
+
+    def test_click_lengths_read_the_clicks_column(self, graph):
+        result = simulate(SimConfig(model="pagerank", n_agents=5, sessions=40,
+                                    seed=6), graph=graph)
+        expected = Counter(d.clicks for d in result.descriptors)
+        lengths = result.click_lengths
+        assert isinstance(lengths, ValueCounts)
+        assert lengths is result.click_lengths  # derived once
+        assert dict(lengths) == dict(sorted(expected.items()))
+        assert list(lengths) == sorted(expected)
+        assert result.total_clicks == sum(d.clicks for d in result.descriptors)
+        assert -1 not in lengths and "1" not in lengths
+
+
 def run_to_dir(tmp_path, name, workers, graph, export=False):
     out = tmp_path / name
     config = SimConfig(model="abc", graph_n=graph.n, n_agents=15, sessions=25,
@@ -208,6 +305,28 @@ class TestCounterCsv:
                                shallow=False), path.name
 
 
+class TestSessionsCsv:
+    @pytest.mark.parametrize("rows", [1, _WRITE_CHUNK, _WRITE_CHUNK + 1])
+    def test_integer_rows_match_csv_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        base = 2**40
+        users = np.sort(rng.integers(base - 10**6, base + 10**6, rows))
+        block = np.column_stack([
+            users, np.arange(rows), rng.integers(base - 5, base + 5, rows),
+            rng.integers(1, 10**6, rows), rng.integers(0, 10**5, rows),
+            rng.integers(0, 10**7, rows)])
+        table = SessionTable.from_block(block)
+        write_outputs(tmp_path / "out", table, TrafficTally(), [],
+                      ValueCounts(table.clicks))
+        expected = tmp_path / "expected.csv"
+        with open(expected, "wt", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["user_id", "session_index", "root", "size", "depth"])
+            writer.writerows(block[:, :5].tolist())
+        assert ((tmp_path / "out" / "sessions.csv").read_bytes()
+                == expected.read_bytes())
+
+
 class TestRunSimulation:
     def test_outputs_byte_identical_across_worker_counts(self, tmp_path, graph):
         dir_a, _ = run_to_dir(tmp_path, "w1", 1, graph, export=True)
@@ -229,6 +348,25 @@ class TestRunSimulation:
             assert float(m[stage]) + float(m["time.write_s"]) <= float(m["wall_time_s"])
         assert "time.sessionize_s" not in manifest.values
         assert "time.simulate_s" not in ingest.values
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_records_queue_times_and_rates(self, tmp_path, graph,
+                                                    workers):
+        out, manifest = run_to_dir(tmp_path, "sim", workers, graph, export=True)
+        ingest = run_ingest(out / "requests.log", tmp_path / "ingest")
+        keys = list(manifest.values)
+        later = ["time.graph_s", "time.queue_compute_s", "time.queue_tail_s",
+                 "clicks_per_s"]
+        at = keys.index("time.write_s")
+        assert keys[at + 1:at + 1 + len(later)] == later
+        for key in later:
+            assert float(manifest[key]) >= 0, key
+        assert float(manifest["clicks_per_s"]) > 0
+        assert (float(manifest["time.queue_compute_s"])
+                <= float(manifest["time.simulate_s"]))
+        keys = list(ingest.values)
+        assert keys[keys.index("time.write_s") + 1] == "lines_per_s"
+        assert float(ingest["lines_per_s"]) > 0
 
     def test_manifest_contents(self, tmp_path, graph):
         _, manifest = run_to_dir(tmp_path, "m", 1, graph)
