@@ -22,13 +22,13 @@ for model in ("pagerank", "bookrank", "abc"):
     config = SimConfig(model=model, n_agents=300, sessions=300, seed=11, workers=2)
     result = simulate(config, graph=graph)
     sizes = [d.size for d in result.descriptors]
-    traffic = list(result.tally.page_visits.values())
+    (_, traffic), _, _ = result.tally.columns()  # nonzero page counts
     alpha = fit_power_law(traffic, xmin=10).alpha
     entropy = np.mean([s for _, s, _ in result.entropies])
     p10 = sum(s >= 10 for s in sizes) / len(sizes)
     mean_size = result.summary()["mean_session_size"]
     print(f"{model:<10} {mean_size:>9.2f} {max(sizes):>8} "
-          f"{p10:>11.4f} {max(traffic):>11} {alpha:>14.2f} {entropy:>8.2f}")
+          f"{p10:>11.4f} {traffic.max():>11} {alpha:>14.2f} {entropy:>8.2f}")
 
 print("""
 Readings: the bookmark models fatten the traffic tail (smaller fitted

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
+from .errors import ConfigurationError
 from .session import (RunResult, SessionDescriptor, SessionTable, SessionTree,
                       TrafficTally, entropy_row, follow, open_session)
 
@@ -147,15 +148,21 @@ class _UserState:
 class Sessionizer:
     """Streaming session reconstruction; memory scales with live sessions.
 
-    out_of_order counts records whose timestamp is below that of their
-    user's previous record. Such records are still assigned as usual, but
-    never move their session's last activity backwards.
+    tally collects the page, link and session-start counts. out_of_order
+    counts records whose timestamp is below that of their user's previous
+    record. Such records are still assigned as usual, but never move their
+    session's last activity backwards.
+
+    Raises:
+        ConfigurationError: a timeout that is nan or negative.
     """
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT,
-                 tally: TrafficTally | None = None):
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT):
         self.timeout = float(timeout)
-        self.tally = tally if tally is not None else TrafficTally()
+        if not self.timeout >= 0:  # nan fails every comparison
+            raise ConfigurationError(
+                f"timeout must be a non-negative number of seconds, got {timeout!r}")
+        self.tally = TrafficTally()
         self.out_of_order = 0
         self._users: dict = {}
 
@@ -291,10 +298,10 @@ def _time_then_sid(entry):
     return t, sid
 
 
-def sessionize(records: Iterable[LogRecord], timeout: float = DEFAULT_TIMEOUT,
-               tally: TrafficTally | None = None) -> Iterator[SessionDescriptor]:
-    """Stream descriptors of reconstructed sessions; tally fills as a side effect."""
-    worker = Sessionizer(timeout, tally)
+def sessionize(records: Iterable[LogRecord],
+               timeout: float = DEFAULT_TIMEOUT) -> Iterator[SessionDescriptor]:
+    """Stream descriptors of reconstructed sessions."""
+    worker = Sessionizer(timeout)
     for record in records:
         yield from worker.feed(record)
     yield from worker.finish()

@@ -28,9 +28,9 @@ from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
-from .session import (ArrayTally, CountView, RunResult, SessionRecorder,
-                      SessionTable, TrafficTally, column_list, count_arrays,
-                      entropy_row, session_block)
+from .session import (ArrayTally, RunResult, SessionRecorder, SessionTable,
+                      TrafficTally, column_list, count_arrays, entropy_row,
+                      session_block)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -365,21 +365,6 @@ def _write_csv(path, header, rows):
 _WRITE_CHUNK = 1 << 15
 
 
-def _count_columns(counts) -> tuple:
-    """(key columns, counts) of a count mapping, rows in key order.
-
-    An ArrayTally's views give int64 arrays in key order already; a
-    Counter is sorted by key once, and its tuple keys split into columns.
-    """
-    if isinstance(counts, CountView):
-        return counts.columns()
-    keys = sorted(counts)
-    values = np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
-    if keys and isinstance(keys[0], tuple):
-        return tuple(zip(*keys)), values
-    return (keys,), values
-
-
 def _write_columns_csv(path, header, columns):
     """One row per position of the columns, which share one length.
 
@@ -428,16 +413,14 @@ def write_outputs(out_dir, sessions: SessionTable, tally, entropies,
                   click_lengths) -> dict:
     """Write the six descriptor streams, distributions, and fit summaries.
 
-    tally is a TrafficTally or an ArrayTally; click_lengths a count
-    mapping, as RunResult.click_lengths gives. Returns manifest entries:
-    metric name -> file name plus summary stats.
+    tally is a TrafficTally or an ArrayTally; click_lengths a
+    {clicks: sessions} dict, as RunResult.click_lengths gives. Returns
+    manifest entries: metric name -> file name plus summary stats.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pages = _count_columns(tally.page_visits)
-    links = _count_columns(tally.link_visits)
-    starts = _count_columns(tally.session_starts)
+    pages, links, starts = tally.columns()
     _write_columns_csv(out / "sessions.csv",
                        ["user_id", "session_index", "root", "size", "depth"],
                        (sessions.user, sessions.index, sessions.root,
@@ -447,8 +430,8 @@ def write_outputs(out_dir, sessions: SessionTable, tally, entropies,
     _write_count_csv(out / "empty_referrer_traffic.csv", ["page", "count"], *starts)
     _write_csv(out / "entropy.csv", ["user_id", "entropy_bits", "tallied_visits"],
                ((user, _fmt(s), visits) for user, s, visits in entropies))
-    _write_count_csv(out / "session_clicks.csv", ["clicks", "count"],
-                     *_count_columns(click_lengths))
+    _write_csv(out / "session_clicks.csv", ["clicks", "count"],
+               sorted(click_lengths.items()))
 
     samples = {
         "page_traffic": pages[1],

@@ -10,10 +10,8 @@ Sessionizer (ingest.py) both apply the rule through these two calls.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left
 from collections import Counter
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -66,7 +64,7 @@ class SessionDescriptor(NamedTuple):
 
 
 class TrafficTally:
-    """Mergeable accumulator of page, link, and session-start counts.
+    """Accumulator of page, link, and session-start counts.
 
     Counters, so any hashable pages count, with no graph behind them: the
     simulator's workers and the log Sessionizer count into one click by
@@ -80,15 +78,23 @@ class TrafficTally:
         self.link_visits = Counter()
         self.session_starts = Counter()
 
-    def merge(self, other: "TrafficTally") -> "TrafficTally":
-        """Key-wise addition of another tally into this one."""
-        self.page_visits.update(other.page_visits)
-        self.link_visits.update(other.link_visits)
-        self.session_starts.update(other.session_starts)
-        return self
+    def columns(self) -> tuple:
+        """(pages, links, starts), each (key columns, counts), rows in key order."""
+        return (_counter_columns(self.page_visits, 1),
+                _counter_columns(self.link_visits, 2),
+                _counter_columns(self.session_starts, 1))
 
     def total_sessions(self) -> int:
         return sum(self.session_starts.values())
+
+
+def _counter_columns(counts: Counter, width: int) -> tuple:
+    """(key columns, int64 counts) of a Counter whose keys are width wide."""
+    keys = sorted(counts)
+    values = np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
+    if width == 1:
+        return (keys,), values
+    return tuple(zip(*keys)) or ((),) * width, values
 
 
 def count_arrays(tally: TrafficTally, graph: WebGraph) -> tuple:
@@ -122,135 +128,43 @@ class ArrayTally:
     """Page, link and session-start counts over one graph, as int64 arrays.
 
     What simulate returns: each worker counts into a TrafficTally, ships
-    its count_arrays, and the parent adds them. pages and starts are
-    indexed by page id, links by CSR position. page_visits, link_visits
-    and session_starts read them as a TrafficTally's Counters read:
-    read-only Mappings over the nonzero entries, in key order.
+    its count_arrays, and the parent adds them. page_visits and
+    session_starts are indexed by page id, link_visits by CSR position.
     """
 
-    __slots__ = ("graph", "pages", "links", "starts")
+    __slots__ = ("graph", "page_visits", "link_visits", "session_starts")
 
-    def __init__(self, graph: WebGraph, pages: np.ndarray, links: np.ndarray,
-                 starts: np.ndarray):
+    def __init__(self, graph: WebGraph, page_visits: np.ndarray,
+                 link_visits: np.ndarray, session_starts: np.ndarray):
         self.graph = graph
-        self.pages = pages
-        self.links = links
-        self.starts = starts
+        self.page_visits = page_visits
+        self.link_visits = link_visits
+        self.session_starts = session_starts
 
-    @property
-    def page_visits(self) -> "PageCounts":
-        return PageCounts(self.pages)
+    def columns(self) -> tuple:
+        """(pages, links, starts), each (key columns, counts), rows in key order.
 
-    @property
-    def link_visits(self) -> "LinkCounts":
-        return LinkCounts(self.links, self.graph)
-
-    @property
-    def session_starts(self) -> "PageCounts":
-        return PageCounts(self.starts)
+        Only nonzero counts appear, as in a TrafficTally's Counters.
+        """
+        pages = np.flatnonzero(self.page_visits)
+        at = np.flatnonzero(self.link_visits)
+        src, dst = np.divmod(self.graph.edge_keys()[at], self.graph.n)
+        starts = np.flatnonzero(self.session_starts)
+        return (((pages,), self.page_visits[pages]),
+                ((src, dst), self.link_visits[at]),
+                ((starts,), self.session_starts[starts]))
 
     def merge(self, other: "ArrayTally") -> "ArrayTally":
         """Add another tally of the same graph into this one."""
-        if (other.pages.shape != self.pages.shape
-                or other.links.shape != self.links.shape):
+        mine, theirs = self.graph, other.graph
+        if theirs is not mine and not (
+                np.array_equal(theirs.offsets, mine.offsets)
+                and np.array_equal(theirs.neighbors, mine.neighbors)):
             raise DataError("cannot merge tallies of different graphs")
-        self.pages += other.pages
-        self.links += other.links
-        self.starts += other.starts
+        self.page_visits += other.page_visits
+        self.link_visits += other.link_visits
+        self.session_starts += other.session_starts
         return self
-
-
-class CountView(Mapping):
-    """Read-only Mapping over the nonzero entries of a count array, in key order.
-
-    columns() gives (key columns, counts) as arrays; iteration, values()
-    and items() read them, with no lookup per key.
-    """
-
-    __slots__ = ("_counts",)
-
-    def columns(self) -> tuple:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator:
-        return _keys(self.columns()[0])
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._counts))
-
-    def values(self) -> ValuesView:
-        return _CountValues(self)
-
-    def items(self) -> ItemsView:
-        return _CountItems(self)
-
-
-def _keys(columns) -> Iterator:
-    """The keys of key columns: ints from one column, tuples from more."""
-    if len(columns) == 1:
-        return iter(columns[0].tolist())
-    return zip(*(c.tolist() for c in columns))
-
-
-class _CountValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping.columns()[1].tolist())
-
-
-class _CountItems(ItemsView):
-    def __iter__(self):
-        columns, counts = self._mapping.columns()
-        return zip(_keys(columns), counts.tolist())
-
-
-class PageCounts(CountView):
-    """Page id -> count, over an int64 array indexed by page id."""
-
-    __slots__ = ()
-
-    def __init__(self, counts: np.ndarray):
-        self._counts = counts
-
-    def columns(self) -> tuple:
-        pages = np.flatnonzero(self._counts)
-        return (pages,), self._counts[pages]
-
-    def __getitem__(self, page) -> int:
-        try:
-            i = operator.index(page)
-        except TypeError:
-            raise KeyError(page) from None
-        if 0 <= i < self._counts.size and self._counts[i]:
-            return int(self._counts[i])
-        raise KeyError(page)
-
-
-class LinkCounts(CountView):
-    """(src, dst) -> count, over an int64 array indexed by CSR position."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, counts: np.ndarray, graph: WebGraph):
-        self._counts = counts
-        self._graph = graph
-
-    def columns(self) -> tuple:
-        at = np.flatnonzero(self._counts)
-        src, dst = np.divmod(self._graph.edge_keys()[at], self._graph.n)
-        return (src, dst), self._counts[at]
-
-    def __getitem__(self, link) -> int:
-        try:
-            src, dst = map(operator.index, link)
-        except (TypeError, ValueError):
-            raise KeyError(link) from None
-        graph = self._graph
-        if 0 <= src < graph.n:
-            lo, hi = graph.offsets_view[src], graph.offsets_view[src + 1]
-            at = bisect_left(graph.neighbors_view, dst, lo, hi)
-            if at < hi and graph.neighbors_view[at] == dst and self._counts[at]:
-                return int(self._counts[at])
-        raise KeyError(link)
 
 
 def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
@@ -376,30 +290,6 @@ def column_list(column) -> list:
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-class ValueCounts(CountView):
-    """Value -> occurrences over an int64 sample array, in value order."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, samples: np.ndarray):
-        values, counts = np.unique(samples, return_counts=True)
-        self._values = values.astype(np.int64, copy=False)
-        self._counts = counts.astype(np.int64, copy=False)
-
-    def columns(self) -> tuple:
-        return (self._values,), self._counts
-
-    def __getitem__(self, value) -> int:
-        try:
-            v = operator.index(value)
-        except TypeError:
-            raise KeyError(value) from None
-        at = int(np.searchsorted(self._values, v))
-        if at < self._values.size and self._values[at] == v:
-            return int(self._counts[at])
-        raise KeyError(value)
-
-
 @dataclass
 class RunResult:
     """In-memory outcome of a run, simulated or ingested from a log."""
@@ -420,9 +310,10 @@ class RunResult:
         return int(self.descriptors.clicks.sum())
 
     @cached_property
-    def click_lengths(self) -> ValueCounts:
-        """Clicks per session -> sessions."""
-        return ValueCounts(self.descriptors.clicks)
+    def click_lengths(self) -> dict:
+        """Clicks per session -> sessions, in clicks order."""
+        clicks, sessions = np.unique(self.descriptors.clicks, return_counts=True)
+        return dict(zip(clicks.tolist(), sessions.tolist()))
 
     def summary(self) -> dict:
         """Totals and means of the run, as its manifest records them."""
@@ -432,15 +323,22 @@ class RunResult:
         return {
             "total_sessions": n,
             "total_clicks": self.total_clicks,
-            "total_page_visits": sum(self.tally.page_visits.values()),
-            "total_link_visits": sum(self.tally.link_visits.values()),
+            "total_page_visits": _total(self.tally.page_visits),
+            "total_link_visits": _total(self.tally.link_visits),
             # integer sums, divided once: the same floats as the row sums
-            "mean_session_size": int(table.size.sum()) / n,
-            "mean_session_depth": int(table.depth.sum()) / n,
+            "mean_session_size": int(table.size.sum()) / n if n else math.nan,
+            "mean_session_depth": int(table.depth.sum()) / n if n else math.nan,
             # fsum rounds once, so the row order cannot move the last bit
             "mean_user_entropy": (math.fsum(s for _, s, _ in entropies)
                                   / len(entropies) if entropies else math.nan),
         }
+
+
+def _total(counts) -> int:
+    """The sum of a tally's Counter or count array, as it is stored."""
+    if isinstance(counts, np.ndarray):
+        return int(counts.sum())
+    return sum(counts.values())
 
 
 class SessionRecorder:

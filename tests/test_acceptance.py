@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from tallies import string_keyed
 from webnav import (ModelParams, SimConfig, TrafficTally, abc_step,
                     entropy_bits, fit_geometric_ratio, fit_power_law,
                     generate_scale_free, ks_statistic, make_agent, parse_log,
@@ -77,7 +78,7 @@ class ModelSummary:
     link_counts: np.ndarray
     start_counts: np.ndarray
     entropies: np.ndarray
-    click_lengths: Counter
+    click_lengths: dict
     mean_size: float
 
 
@@ -96,12 +97,13 @@ def desk(desk_graph):
                            sessions=DESK_SESSIONS, seed=DESK_SEED,
                            workers=WORKERS)
         result = simulate(config, graph=desk_graph)
+        pages, links, starts = result.tally.columns()
         summaries[model] = ModelSummary(
             sizes=np.array([d.size for d in result.descriptors], dtype=np.int32),
             depths=np.array([d.depth for d in result.descriptors], dtype=np.int32),
-            page_counts=np.array(list(result.tally.page_visits.values())),
-            link_counts=np.array(list(result.tally.link_visits.values())),
-            start_counts=np.array(list(result.tally.session_starts.values())),
+            page_counts=pages[1],
+            link_counts=links[1],
+            start_counts=starts[1],
             entropies=np.array([s for _, s, _ in result.entropies]),
             click_lengths=result.click_lengths,
             mean_size=result.summary()["mean_session_size"],
@@ -238,12 +240,9 @@ def test_criterion_7_roundtrip_oracle():
                 == Counter(d.size for d in sim.descriptors))
     depths_ok = (Counter(d.depth for d in descs)
                  == Counter(d.depth for d in sim.descriptors))
-    pages_ok = tally.page_visits == Counter(
-        {str(k): v for k, v in sim.tally.page_visits.items()})
-    links_ok = tally.link_visits == Counter(
-        {(str(a), str(b)): v for (a, b), v in sim.tally.link_visits.items()})
-    starts_ok = tally.session_starts == Counter(
-        {str(k): v for k, v in sim.tally.session_starts.items()})
+    pages_ok, links_ok, starts_ok = (
+        got == want for got, want in zip(string_keyed(tally),
+                                         string_keyed(sim.tally)))
     ok = sizes_ok and depths_ok and pages_ok and links_ok and starts_ok
     report(7, "roundtrip-oracle", ok,
            f"{len(descs)} sessions re-ingested; exact equality: "

@@ -17,12 +17,11 @@ from webnav import cli
 from webnav.cli import main
 from webnav.errors import ConfigurationError
 from webnav.agents import STEP_FUNCTIONS, TELEPORT, ZipfRankTable, make_agent
-from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK,
-                        _count_columns, _run_queue, _write_count_csv,
-                        build_config, parse_config_file, partition_agents,
-                        write_outputs)
+from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK, _run_queue,
+                        _write_count_csv, build_config, parse_config_file,
+                        partition_agents, write_outputs)
 from webnav.session import (ArrayTally, SessionDescriptor, SessionRecorder,
-                            SessionTable, ValueCounts, session_block)
+                            SessionTable, session_block)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -143,9 +142,9 @@ class TestSimulate:
             # per-user vectors become entropies in the workers; the
             # tallies ship as count arrays
             assert isinstance(result.tally, ArrayTally)
-            snapshot = (result.descriptors, dict(result.tally.page_visits),
-                        dict(result.tally.link_visits),
-                        result.entropies, dict(result.click_lengths))
+            snapshot = (result.descriptors, result.tally.page_visits.tolist(),
+                        result.tally.link_visits.tolist(),
+                        result.entropies, result.click_lengths)
             if base is None:
                 base = snapshot
             else:
@@ -237,12 +236,12 @@ class TestSessionTable:
                                     seed=6), graph=graph)
         expected = Counter(d.clicks for d in result.descriptors)
         lengths = result.click_lengths
-        assert isinstance(lengths, ValueCounts)
+        assert type(lengths) is dict
         assert lengths is result.click_lengths  # derived once
-        assert dict(lengths) == dict(sorted(expected.items()))
+        assert lengths == expected
         assert list(lengths) == sorted(expected)
+        assert all(type(x) is int for x in (*lengths, *lengths.values()))
         assert result.total_clicks == sum(d.clicks for d in result.descriptors)
-        assert -1 not in lengths and "1" not in lengths
 
 
 def run_to_dir(tmp_path, name, workers, graph, export=False):
@@ -263,8 +262,11 @@ class TestCounterCsv:
     ])
     def test_rows_follow_sorted_items(self, tmp_path, counter):
         split_key = isinstance(next(iter(counter)), tuple)
+        tally = TrafficTally()
+        (tally.link_visits if split_key else tally.page_visits).update(counter)
+        pages, links, _ = tally.columns()
         path = tmp_path / "tally.csv"
-        _write_count_csv(path, ["key", "count"], *_count_columns(counter))
+        _write_count_csv(path, ["key", "count"], *(links if split_key else pages))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         expected = [[str(x) for x in (*k, c)] if split_key else [str(k), str(c)]
@@ -292,10 +294,14 @@ class TestCounterCsv:
         result = simulate(config, graph=graph)
         assert isinstance(result.tally, ArrayTally)
         counters = TrafficTally()
-        for name in ("page_visits", "link_visits", "session_starts"):
+        for name, (columns, counts) in zip(
+                ("page_visits", "link_visits", "session_starts"),
+                result.tally.columns()):
+            keys = [key if len(key) > 1 else key[0]
+                    for key in zip(*(c.tolist() for c in columns))]
             # the same counts, keys in reverse order
             getattr(counters, name).update(
-                dict(reversed(list(getattr(result.tally, name).items()))))
+                dict(reversed(list(zip(keys, counts.tolist())))))
         for out, tally in ((tmp_path / "arrays", result.tally),
                            (tmp_path / "counters", counters)):
             write_outputs(out, result.descriptors, tally, result.entropies,
@@ -317,7 +323,7 @@ class TestSessionsCsv:
             rng.integers(0, 10**7, rows)])
         table = SessionTable.from_block(block)
         write_outputs(tmp_path / "out", table, TrafficTally(), [],
-                      ValueCounts(table.clicks))
+                      Counter(table.clicks.tolist()))
         expected = tmp_path / "expected.csv"
         with open(expected, "wt", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -422,6 +428,14 @@ class TestCli:
     def test_unreadable_file_exits_3(self, tmp_path):
         assert main(["ingest", str(tmp_path / "missing.log"),
                      "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("timeout", ["nan", "-5"])
+    def test_nan_or_negative_timeout_exits_2(self, tmp_path, timeout):
+        log = tmp_path / "requests.log"
+        log.write_text("0\tu\t-\tA\n5000\tu\tA\tB\n")
+        assert main(["ingest", str(log), "--timeout", timeout,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_empty_log_exits_4(self, tmp_path):
         log = tmp_path / "empty.log"

@@ -2,6 +2,7 @@ import math
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,7 @@ class TestCacheKernel:
         b.record((TELEPORT, "B"))
         assert (a.visits, b.visits) == (Counter({"A": 2, "B": 1}), Counter({"B": 1}))
         assert tally.page_visits == {"A": 2, "B": 2}
+        assert not hasattr(tally, "per_user_visits")
 
     def test_unknown_kind_rejected(self):
         rec = SessionRecorder("u", TrafficTally())
@@ -176,10 +178,10 @@ session_strategy = st.lists(
 ).map(lambda ops: [("t", ops[0][1])] + ops[1:])
 
 
-def replay(ops, user="u", tally=None):
+def replay(ops):
     """Interpret (kind, node) ops as a walk, inventing legal back targets."""
-    tally = tally if tally is not None else TrafficTally()
-    rec = SessionRecorder(user, tally)
+    tally = TrafficTally()
+    rec = SessionRecorder("u", tally)
     descs = []
     visited = []
     for kind, node in ops:
@@ -216,54 +218,6 @@ class TestConservation:
             assert d.size >= 1
 
 
-class TestTallyMerge:
-    @staticmethod
-    def random_tally(rng_ops):
-        tally = TrafficTally()
-        replay(rng_ops, tally=tally)
-        return tally
-
-    def as_tuple(self, tally):
-        return (dict(tally.page_visits), dict(tally.link_visits),
-                dict(tally.session_starts))
-
-    @given(session_strategy, session_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_commutative(self, ops_a, ops_b):
-        _, a1 = replay(ops_a, user="a")
-        _, b1 = replay(ops_b, user="b")
-        _, a2 = replay(ops_a, user="a")
-        _, b2 = replay(ops_b, user="b")
-        assert self.as_tuple(a1.merge(b1)) == self.as_tuple(b2.merge(a2))
-
-    @given(session_strategy, session_strategy, session_strategy)
-    @settings(max_examples=150, deadline=None)
-    def test_associative(self, ops_a, ops_b, ops_c):
-        def fresh():
-            _, a = replay(ops_a, user="a")
-            _, b = replay(ops_b, user="b")
-            _, c = replay(ops_c, user="c")
-            return a, b, c
-
-        a, b, c = fresh()
-        left = a.merge(b).merge(c)
-        a2, b2, c2 = fresh()
-        right = a2.merge(b2.merge(c2))
-        assert self.as_tuple(left) == self.as_tuple(right)
-
-    def test_merge_sums_shared_users(self):
-        # two workers' tallies of one user: the aggregate counts add
-        a, b = TrafficTally(), TrafficTally()
-        open_session(a, Counter(), "X")
-        b_visits = Counter()
-        follow(b, b_visits, open_session(b, b_visits, "X"), "X", "Y")
-        a.merge(b)
-        assert a.page_visits == {"X": 2, "Y": 1}
-        assert a.link_visits == {("X", "Y"): 1}
-        assert a.session_starts == {"X": 2}
-        assert not hasattr(a, "per_user_visits")
-
-
 @pytest.fixture(scope="module")
 def graph():
     return generate_scale_free(400, 2, 2.1, seed=3)
@@ -288,43 +242,65 @@ def dense(tally, graph):
 NAMES = ("page_visits", "link_visits", "session_starts")
 
 
+def assert_same_columns(got, expected):
+    """Two columns() results hold the same keys and counts, in one order."""
+    assert len(got) == len(expected) == 3
+    for (columns, counts), (want_columns, want_counts) in zip(got, expected):
+        assert [list(c) for c in columns] == [list(c) for c in want_columns]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == want_counts.tolist()
+
+
 class TestArrayTally:
-    def test_views_read_as_the_counters(self, graph):
+    def test_columns_equal_the_counters_columns(self, graph):
+        tally = walked_tally(graph)
+        assert_same_columns(dense(tally, graph).columns(), tally.columns())
+
+    def test_arrays_are_indexed_by_page_id_and_csr_position(self, graph):
         tally = walked_tally(graph)
         arrays = dense(tally, graph)
-        for name in NAMES:
-            view, counter = getattr(arrays, name), getattr(tally, name)
-            assert view == counter
-            assert list(view.items()) == sorted(counter.items())
-            assert list(view) == sorted(counter)
-            assert list(view.values()) == [counter[k] for k in sorted(counter)]
-            assert len(view) == len(counter)
-            for key, count in counter.items():
-                assert key in view and view[key] == count
+        for name in ("page_visits", "session_starts"):
+            counts = getattr(arrays, name)
+            assert counts.shape == (graph.n,) and counts.dtype == np.int64
+            nonzero = {p: c for p, c in enumerate(counts.tolist()) if c}
+            assert nonzero == getattr(tally, name)
+        links = arrays.link_visits
+        assert links.shape == (graph.n_edges,) and links.dtype == np.int64
+        for (src, dst), count in tally.link_visits.items():
+            (at,) = graph.edge_positions(np.array([src]), np.array([dst]))
+            assert links[at] == count
+        assert links.sum() == sum(tally.link_visits.values())
 
-    def test_absent_keys(self, graph):
-        arrays = dense(TrafficTally(), graph)
-        link = (0, int(graph.out_neighbors(0)[0]))
-        for page in (0, -1, graph.n, "0", 1.5, None):
-            assert page not in arrays.page_visits
-        for key in (link, (0, 0), (-1, 0), (graph.n, 0), (0,), "ab", None):
-            assert key not in arrays.link_visits
-        assert arrays.page_visits.get(0) is None
-        assert len(arrays.link_visits) == 0
-        assert list(arrays.link_visits.items()) == []
+    def test_empty_tally_has_empty_columns(self, graph):
+        for tally in (dense(TrafficTally(), graph), TrafficTally()):
+            for (columns, counts), width in zip(tally.columns(), (1, 2, 1)):
+                assert len(columns) == width
+                assert all(len(c) == 0 for c in columns) and counts.size == 0
 
     def test_merge_adds_after_pickling(self, graph):
         a, b = walked_tally(graph, seed=1), walked_tally(graph, seed=2)
         arrays = dense(a, graph)
-        arrays.merge(pickle.loads(pickle.dumps(dense(b, graph))))
-        a.merge(b)
+        copy = pickle.loads(pickle.dumps(dense(b, graph)))
+        assert copy.graph is not graph  # an equal graph, not the same object
+        assert arrays.merge(copy) is arrays
+        both = TrafficTally()
         for name in NAMES:
-            assert getattr(arrays, name) == getattr(a, name)
+            getattr(both, name).update(getattr(a, name))
+            getattr(both, name).update(getattr(b, name))
+        assert_same_columns(arrays.columns(), both.columns())
 
     def test_merge_rejects_another_graph(self, graph):
         other = generate_scale_free(300, 2, 2.1, seed=3)
         with pytest.raises(DataError, match="different graphs"):
             dense(TrafficTally(), graph).merge(dense(TrafficTally(), other))
+
+    def test_merge_rejects_another_graph_of_the_same_shape(self):
+        one, two = (generate_scale_free(2000, 3, 2.1, seed=s) for s in (1, 2))
+        assert (one.n, one.n_edges) == (two.n, two.n_edges)
+        a, b = dense(TrafficTally(), one), dense(TrafficTally(), two)
+        with pytest.raises(DataError, match="different graphs"):
+            a.merge(b)
+        assert a.page_visits.sum() == a.link_visits.sum() == 0
 
     def test_link_not_in_graph_raises(self, graph):
         tally = walked_tally(graph)
