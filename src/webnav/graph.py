@@ -24,8 +24,7 @@ class WebGraph:
     guaranteed strongly connected.
     """
 
-    __slots__ = ("n", "offsets", "neighbors", "offsets_view", "neighbors_view",
-                 "_edge_keys")
+    __slots__ = ("n", "offsets", "neighbors", "offsets_view", "neighbors_view")
 
     def __init__(self, n: int, offsets: np.ndarray, neighbors: np.ndarray):
         self.n = int(n)
@@ -44,44 +43,6 @@ class WebGraph:
     def n_edges(self) -> int:
         """Number of directed adjacency entries."""
         return int(self.neighbors.size)
-
-    def edge_keys(self) -> np.ndarray:
-        """src * n + dst of every adjacency entry, in CSR order (read-only).
-
-        CSR rows are sorted by (src, dst) without duplicates, for generated
-        and loaded graphs alike, so the keys strictly increase. Built on
-        the first call and kept: build it before forking workers, and they
-        share its pages.
-        """
-        try:
-            return self._edge_keys
-        except AttributeError:
-            keys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n,
-                             self.degrees())
-            keys += self.neighbors
-            keys.flags.writeable = False
-            self._edge_keys = keys
-            return keys
-
-    def edge_positions(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """CSR positions of the links src[i] -> dst[i]: one searchsorted.
-
-        Raises:
-            DataError: a link the graph does not hold, named.
-        """
-        n = self.n
-        keys = self.edge_keys()
-        want = src * n + dst
-        # searchsorted walks an ascending query several times faster
-        order = np.argsort(want)
-        pos = np.empty_like(want)
-        pos[order] = np.searchsorted(keys, want[order])
-        np.minimum(pos, keys.size - 1, out=pos)
-        bad = (keys[pos] != want) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if bad.any():
-            i = int(bad.argmax())
-            raise DataError(f"link {src[i]} -> {dst[i]} is not in the graph")
-        return pos
 
     def out_neighbors(self, u: int) -> np.ndarray:
         """Adjacency list of u, ascending, stable for the graph's lifetime."""

@@ -29,7 +29,7 @@ from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
 from .session import (ArrayTally, RunResult, SessionRecorder, SessionTable,
-                      TrafficTally, column_list, count_arrays, entropy_row,
+                      TrafficTally, column_list, count_clicks, entropy_row,
                       session_block)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
@@ -226,7 +226,7 @@ class AgentOutput:
 @dataclass
 class QueueOutput:
     agents: list            # AgentOutput, in queue order
-    counts: tuple           # count_arrays(tally of the queue, graph)
+    tally: ArrayTally       # the queue's counts
     compute_s: float        # the queue's compute time
     end: float              # perf_counter() at its end: system-wide on Linux
 
@@ -275,10 +275,10 @@ def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                         zipf, export, tally)
         for agent_id, quota in queue
     ]
-    # arrays pickle and add far faster than tuple-keyed Counters
-    counts = count_arrays(tally, graph)
+    # arrays pickle and merge far faster than tuple-keyed Counters
+    shipped = ArrayTally.of(tally)
     end = time.perf_counter()
-    return QueueOutput(agents=agents, counts=counts, compute_s=end - start,
+    return QueueOutput(agents=agents, tally=shipped, compute_s=end - start,
                        end=end)
 
 
@@ -314,17 +314,16 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
         outputs = [_run_queue(q, config.model, graph, config.params,
                               config.seed, config.export_log) for q in work]
     else:
-        graph.edge_keys()  # built once here, the forked workers share its pages
         with Pool(processes=min(config.workers, len(work)),
                   initializer=_pool_init,
                   initargs=(config.model, graph, config.params,
                             config.seed, config.export_log)) as pool:
             outputs = pool.map(_pool_run, work)
 
-    tally = ArrayTally(graph, *outputs[0].counts)
+    tally = outputs[0].tally
     agent_outputs = list(outputs[0].agents)
     for out in outputs[1:]:
-        tally.merge(ArrayTally(graph, *out.counts))
+        tally.merge(out.tally)
         agent_outputs.extend(out.agents)
     agent_outputs.sort(key=lambda a: a.agent_id)
 
@@ -413,10 +412,18 @@ def write_outputs(out_dir, sessions: SessionTable, tally, entropies,
                   click_lengths) -> dict:
     """Write the six descriptor streams, distributions, and fit summaries.
 
-    tally is a TrafficTally or an ArrayTally; click_lengths a
-    {clicks: sessions} dict, as RunResult.click_lengths gives. Returns
+    tally is a TrafficTally or an ArrayTally. session_clicks.csv is
+    counted from sessions.clicks; click_lengths, a {clicks: sessions}
+    dict as RunResult.click_lengths gives, must agree with it. Returns
     manifest entries: metric name -> file name plus summary stats.
+
+    Raises:
+        DataError: click_lengths disagrees with sessions.clicks; no file
+            is written.
     """
+    lengths = count_clicks(sessions.clicks)
+    if click_lengths != lengths:
+        raise DataError("click_lengths disagree with the sessions' clicks column")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -430,8 +437,7 @@ def write_outputs(out_dir, sessions: SessionTable, tally, entropies,
     _write_count_csv(out / "empty_referrer_traffic.csv", ["page", "count"], *starts)
     _write_csv(out / "entropy.csv", ["user_id", "entropy_bits", "tallied_visits"],
                ((user, _fmt(s), visits) for user, s, visits in entropies))
-    _write_csv(out / "session_clicks.csv", ["clicks", "count"],
-               sorted(click_lengths.items()))
+    _write_csv(out / "session_clicks.csv", ["clicks", "count"], lengths.items())
 
     samples = {
         "page_traffic": pages[1],

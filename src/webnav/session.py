@@ -21,7 +21,6 @@ import numpy as np
 
 from .agents import BACK, FORWARD, KIND_NAMES, TELEPORT
 from .errors import DataError, ProtocolError
-from .graph import WebGraph
 
 
 class SessionTree:
@@ -97,74 +96,91 @@ def _counter_columns(counts: Counter, width: int) -> tuple:
     return tuple(zip(*keys)) or ((),) * width, values
 
 
-def count_arrays(tally: TrafficTally, graph: WebGraph) -> tuple:
-    """A tally of graph pages as (pages, links, starts) int64 arrays.
-
-    pages and starts are indexed by page id, links by CSR position.
-
-    Raises:
-        DataError: a page outside the graph, or a link it does not hold.
-    """
-    links = tally.link_visits
-    ends = np.fromiter(chain.from_iterable(links), np.int64, 2 * len(links))
-    link_counts = np.zeros(graph.n_edges, dtype=np.int64)
-    link_counts[graph.edge_positions(ends[0::2], ends[1::2])] = np.fromiter(
-        links.values(), np.int64, len(links))
-    return (_page_array(tally.page_visits, graph.n), link_counts,
-            _page_array(tally.session_starts, graph.n))
-
-
-def _page_array(counts: Counter, n: int) -> np.ndarray:
-    pages = np.fromiter(counts, np.int64, len(counts))
-    if pages.size and not (0 <= pages.min() and pages.max() < n):
-        bad = pages[(pages < 0) | (pages >= n)][0]
-        raise DataError(f"page {bad} is not in the graph [0, {n})")
-    out = np.zeros(n, dtype=np.int64)
-    out[pages] = np.fromiter(counts.values(), np.int64, len(counts))
-    return out
-
-
 class ArrayTally:
-    """Page, link and session-start counts over one graph, as int64 arrays.
+    """Page, link and session-start counts as int64 key and count arrays.
 
-    What simulate returns: each worker counts into a TrafficTally, ships
-    its count_arrays, and the parent adds them. page_visits and
-    session_starts are indexed by page id, link_visits by CSR position.
+    What simulate returns: each worker counts into a TrafficTally and
+    ships ArrayTally.of(it); the parent merges them. The three pairs are
+    columns() as stored: pages and starts keyed by one column of page
+    ids, links by two (src, dst), rows in key order, with page_visits,
+    link_visits and session_starts their counts. Keys are non-negative
+    integers and no graph stands behind them, so any two tallies merge.
     """
 
-    __slots__ = ("graph", "page_visits", "link_visits", "session_starts")
+    __slots__ = ("page_keys", "page_visits", "link_keys", "link_visits",
+                 "start_keys", "session_starts")
 
-    def __init__(self, graph: WebGraph, page_visits: np.ndarray,
-                 link_visits: np.ndarray, session_starts: np.ndarray):
-        self.graph = graph
-        self.page_visits = page_visits
-        self.link_visits = link_visits
-        self.session_starts = session_starts
+    def __init__(self, pages: tuple, links: tuple, starts: tuple):
+        self.page_keys, self.page_visits = pages
+        self.link_keys, self.link_visits = links
+        self.start_keys, self.session_starts = starts
+
+    @classmethod
+    def of(cls, tally: TrafficTally) -> "ArrayTally":
+        """The counts of a TrafficTally whose pages are integer ids.
+
+        Raises:
+            DataError: a negative page id, or link ids too large to read
+                as one int64 key.
+        """
+        return cls(_counter_rows(tally.page_visits, 1),
+                   _counter_rows(tally.link_visits, 2),
+                   _counter_rows(tally.session_starts, 1))
 
     def columns(self) -> tuple:
-        """(pages, links, starts), each (key columns, counts), rows in key order.
-
-        Only nonzero counts appear, as in a TrafficTally's Counters.
-        """
-        pages = np.flatnonzero(self.page_visits)
-        at = np.flatnonzero(self.link_visits)
-        src, dst = np.divmod(self.graph.edge_keys()[at], self.graph.n)
-        starts = np.flatnonzero(self.session_starts)
-        return (((pages,), self.page_visits[pages]),
-                ((src, dst), self.link_visits[at]),
-                ((starts,), self.session_starts[starts]))
+        """(pages, links, starts), each (key columns, counts), rows in key order."""
+        return ((self.page_keys, self.page_visits),
+                (self.link_keys, self.link_visits),
+                (self.start_keys, self.session_starts))
 
     def merge(self, other: "ArrayTally") -> "ArrayTally":
-        """Add another tally of the same graph into this one."""
-        mine, theirs = self.graph, other.graph
-        if theirs is not mine and not (
-                np.array_equal(theirs.offsets, mine.offsets)
-                and np.array_equal(theirs.neighbors, mine.neighbors)):
-            raise DataError("cannot merge tallies of different graphs")
-        self.page_visits += other.page_visits
-        self.link_visits += other.link_visits
-        self.session_starts += other.session_starts
+        """Add another tally into this one: equal keys sum their counts."""
+        self.__init__(*(
+            _summed_rows(tuple(map(np.concatenate, zip(keys, other_keys))),
+                         np.concatenate((counts, other_counts)))
+            for (keys, counts), (other_keys, other_counts)
+            in zip(self.columns(), other.columns())))
         return self
+
+
+def _counter_rows(counts: Counter, width: int) -> tuple:
+    """(key columns, counts) of a Counter of integer keys width wide, in key order."""
+    keys = np.fromiter(chain.from_iterable(counts) if width > 1 else counts,
+                       np.int64, width * len(counts))
+    values = np.fromiter(counts.values(), np.int64, len(counts))
+    # keys in insertion order: quicksort beats timsort there
+    return _summed_rows(tuple(keys.reshape(-1, width).T), values, "quicksort")
+
+
+def _summed_rows(columns: tuple, counts: np.ndarray, kind="stable") -> tuple:
+    """Rows of one or two int64 key columns in key order, equal keys summed.
+
+    Each row reads as one int64 key, src * (max dst + 1) + dst for two
+    columns, so one argsort orders them; a stable one sorts merge's
+    concatenated sorted runs in linear time.
+
+    Raises:
+        DataError: a negative key, or two columns too large for one key.
+    """
+    for column in columns:
+        if column.size and column.min() < 0:
+            raise DataError(f"tally key {int(column.min())} is negative")
+    if not counts.size:
+        return columns, counts
+    key = columns[0]
+    if len(columns) == 2:
+        src, dst = columns
+        base = int(dst.max()) + 1
+        if int(src.max()) * base + base - 1 > np.iinfo(np.int64).max:
+            raise DataError(f"tally keys up to ({src.max()}, {base - 1}) "
+                            "do not fit one int64 key")
+        key = src * base + dst
+    order = np.argsort(key, kind=kind)
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    summed = np.add.reduceat(counts[order], first)
+    key = key[first]
+    return (np.divmod(key, base) if len(columns) == 2 else (key,)), summed
 
 
 def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
@@ -295,7 +311,7 @@ class RunResult:
     """In-memory outcome of a run, simulated or ingested from a log."""
 
     descriptors: SessionTable       # sorted by (user, session index)
-    tally: TrafficTally | ArrayTally   # aggregate counts (ArrayTally: simulate)
+    tally: TrafficTally | ArrayTally   # simulate: ArrayTally; ingest: TrafficTally
     entropies: list         # entropy_row per user, sorted by user
     log_lines: list | None = None   # the exported request log, if any
     # manifest-only timings of producing the result: time.<stage>_s -> s
@@ -312,8 +328,7 @@ class RunResult:
     @cached_property
     def click_lengths(self) -> dict:
         """Clicks per session -> sessions, in clicks order."""
-        clicks, sessions = np.unique(self.descriptors.clicks, return_counts=True)
-        return dict(zip(clicks.tolist(), sessions.tolist()))
+        return count_clicks(self.descriptors.clicks)
 
     def summary(self) -> dict:
         """Totals and means of the run, as its manifest records them."""
@@ -332,6 +347,12 @@ class RunResult:
             "mean_user_entropy": (math.fsum(s for _, s, _ in entropies)
                                   / len(entropies) if entropies else math.nan),
         }
+
+
+def count_clicks(clicks: np.ndarray) -> dict:
+    """Clicks per session -> sessions, in clicks order, of a clicks column."""
+    values, sessions = np.unique(clicks, return_counts=True)
+    return dict(zip(values.tolist(), sessions.tolist()))
 
 
 def _total(counts) -> int:

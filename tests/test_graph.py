@@ -260,17 +260,15 @@ def _csr_keys(graph):
 
 
 class TestEdgeKeys:
-    """CSR rows are sorted by (src, dst) without duplicates, so a link's
-    position is one searchsorted of src * n + dst over the graph's keys."""
+    """CSR rows are sorted by (src, dst) without duplicates, for generated
+    and loaded graphs alike."""
 
     @pytest.mark.parametrize("n, m, gamma, seed", [
         (2, 1, 2.5, 0), (50, 2, 2.1, 1), (3000, 3, 2.1, 42),
         (5000, 7, 3.0, 9), (20_000, 3, 2.05, 5)])
     def test_generated_keys_strictly_increase(self, n, m, gamma, seed):
         g = generate_scale_free(n, m, gamma, seed)
-        keys = _csr_keys(g)
-        assert np.all(np.diff(keys) > 0)
-        assert np.array_equal(g.edge_keys(), keys)
+        assert np.all(np.diff(_csr_keys(g)) > 0)
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     @pytest.mark.parametrize("text", [
@@ -282,29 +280,4 @@ class TestEdgeKeys:
         path = tmp_path / "edges.txt"
         path.write_text(text)
         g = load_edge_list(path, symmetrize=symmetrize)
-        keys = _csr_keys(g)
-        assert np.all(np.diff(keys) > 0)
-        assert np.array_equal(g.edge_keys(), keys)
-        src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-        assert np.array_equal(g.edge_positions(src, g.neighbors),
-                              np.arange(g.n_edges))
-
-    def test_edge_keys_built_once_and_read_only(self, small_graph):
-        keys = small_graph.edge_keys()
-        assert small_graph.edge_keys() is keys
-        assert not keys.flags.writeable
-
-    def test_link_not_in_graph_rejected(self, small_graph):
-        g = small_graph
-        absent = min(set(range(1, g.n)) - set(g.out_neighbors(0).tolist()))
-        with pytest.raises(DataError, match=f"link 0 -> {absent} is not in the graph"):
-            g.edge_positions(np.array([0, 0]),
-                             np.array([g.out_neighbors(0)[0], absent]))
-
-    def test_end_outside_graph_rejected(self, small_graph):
-        # 0 -> n + v has the key of the real link 1 -> v
-        g = small_graph
-        v = int(g.out_neighbors(1)[0])
-        for src, dst in ((0, g.n + v), (-1, v), (g.n, v), (1, -1)):
-            with pytest.raises(DataError, match="is not in the graph"):
-                g.edge_positions(np.array([src]), np.array([dst]))
+        assert np.all(np.diff(_csr_keys(g)) > 0)

@@ -15,7 +15,7 @@ from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
                     run_simulation, simulate)
 from webnav import cli
 from webnav.cli import main
-from webnav.errors import ConfigurationError
+from webnav.errors import ConfigurationError, DataError
 from webnav.agents import STEP_FUNCTIONS, TELEPORT, ZipfRankTable, make_agent
 from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK, _run_queue,
                         _write_count_csv, build_config, parse_config_file,
@@ -226,7 +226,8 @@ class TestSessionTable:
         # in the 800 sessions below would overrun the 4 KiB slack
         queue = [(aid, 200) for aid in range(4)]
         out = _run_queue(queue, "pagerank", graph, ModelParams(), 7, False)
-        buffers = (sum(a.nbytes for a in out.counts)
+        buffers = (sum(a.nbytes for columns, counts in out.tally.columns()
+                       for a in (*columns, counts))
                    + sum(agent.sessions.nbytes for agent in out.agents))
         assert sum(len(agent.sessions) for agent in out.agents) == 800
         assert len(ForkingPickler.dumps(out)) <= buffers + 4096
@@ -331,6 +332,23 @@ class TestSessionsCsv:
             writer.writerows(block[:, :5].tolist())
         assert ((tmp_path / "out" / "sessions.csv").read_bytes()
                 == expected.read_bytes())
+
+
+class TestSessionClicksCsv:
+    def one_session(self):
+        return SessionTable.from_block(np.array([[0, 0, 5, 2, 1, 3]]))
+
+    def test_written_from_the_clicks_column(self, tmp_path):
+        table = self.one_session()
+        write_outputs(tmp_path / "out", table, TrafficTally(), [], {3: 1})
+        assert ((tmp_path / "out" / "session_clicks.csv").read_text()
+                == "clicks,count\n3,1\n")
+
+    def test_disagreeing_click_lengths_raise_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match="click_lengths disagree"):
+            write_outputs(out, self.one_session(), TrafficTally(), [], {7: 2})
+        assert not out.exists()
 
 
 class TestRunSimulation:

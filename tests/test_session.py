@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from webnav import (BACK, FORWARD, TELEPORT, ModelParams, TrafficTally,
                     entropy_bits, generate_scale_free, make_agent, pagerank_step)
 from webnav.errors import DataError, ProtocolError
-from webnav.session import (ArrayTally, SessionRecorder, count_arrays, follow,
-                            open_session)
+from webnav.session import ArrayTally, SessionRecorder, follow, open_session
 
 
 def record_all(outcomes, user="u"):
@@ -235,10 +234,6 @@ def walked_tally(graph, seed=1, steps=3000):
     return tally
 
 
-def dense(tally, graph):
-    return ArrayTally(graph, *count_arrays(tally, graph))
-
-
 NAMES = ("page_visits", "link_visits", "session_starts")
 
 
@@ -254,73 +249,102 @@ def assert_same_columns(got, expected):
 class TestArrayTally:
     def test_columns_equal_the_counters_columns(self, graph):
         tally = walked_tally(graph)
-        assert_same_columns(dense(tally, graph).columns(), tally.columns())
+        assert_same_columns(ArrayTally.of(tally).columns(), tally.columns())
 
-    def test_arrays_are_indexed_by_page_id_and_csr_position(self, graph):
-        tally = walked_tally(graph)
-        arrays = dense(tally, graph)
-        for name in ("page_visits", "session_starts"):
-            counts = getattr(arrays, name)
-            assert counts.shape == (graph.n,) and counts.dtype == np.int64
-            nonzero = {p: c for p, c in enumerate(counts.tolist()) if c}
-            assert nonzero == getattr(tally, name)
-        links = arrays.link_visits
-        assert links.shape == (graph.n_edges,) and links.dtype == np.int64
-        for (src, dst), count in tally.link_visits.items():
-            (at,) = graph.edge_positions(np.array([src]), np.array([dst]))
-            assert links[at] == count
-        assert links.sum() == sum(tally.link_visits.values())
+    def test_constructor_takes_the_columns(self, graph):
+        arrays = ArrayTally.of(walked_tally(graph))
+        again = ArrayTally(*arrays.columns())
+        assert_same_columns(again.columns(), arrays.columns())
+        assert again.page_visits is arrays.page_visits
 
-    def test_empty_tally_has_empty_columns(self, graph):
-        for tally in (dense(TrafficTally(), graph), TrafficTally()):
+    def test_empty_tally_has_empty_columns(self):
+        for tally in (ArrayTally.of(TrafficTally()), TrafficTally()):
             for (columns, counts), width in zip(tally.columns(), (1, 2, 1)):
                 assert len(columns) == width
                 assert all(len(c) == 0 for c in columns) and counts.size == 0
 
     def test_merge_adds_after_pickling(self, graph):
         a, b = walked_tally(graph, seed=1), walked_tally(graph, seed=2)
-        arrays = dense(a, graph)
-        copy = pickle.loads(pickle.dumps(dense(b, graph)))
-        assert copy.graph is not graph  # an equal graph, not the same object
+        arrays = ArrayTally.of(a)
+        copy = pickle.loads(pickle.dumps(ArrayTally.of(b)))
         assert arrays.merge(copy) is arrays
-        both = TrafficTally()
+        assert_same_columns(arrays.columns(), added(a, b).columns())
+
+    def test_tallies_of_different_graphs_merge_by_key(self):
+        one, two = (generate_scale_free(300, 2, 2.1, seed=s) for s in (1, 2))
+        a, b = walked_tally(one), walked_tally(two)
+        merged = ArrayTally.of(a).merge(ArrayTally.of(b))
+        assert_same_columns(merged.columns(), added(a, b).columns())
+
+    def test_links_sharing_a_flat_key_stay_apart(self):
+        # alone, 1 -> 0 reads as key 1 * 1 + 0 and 0 -> 1 as 0 * 2 + 1
+        a, b = TrafficTally(), TrafficTally()
+        a.link_visits[(1, 0)] += 1
+        b.link_visits[(0, 1)] += 2
+        (src, dst), counts = ArrayTally.of(a).merge(ArrayTally.of(b)).columns()[1]
+        assert (src.tolist(), dst.tolist(), counts.tolist()) == (
+            [0, 1], [1, 0], [2, 1])
+
+    @pytest.mark.parametrize("name, key", [
+        ("page_visits", -1), ("session_starts", -1), ("link_visits", (0, -1)),
+        ("link_visits", (-1, 0))], ids=["page", "start", "link_dst", "link_src"])
+    def test_negative_key_raises(self, name, key):
+        tally = TrafficTally()
+        tally.page_visits[0] += 1
+        tally.link_visits[(0, 1)] += 1
+        getattr(tally, name)[key] += 1
+        with pytest.raises(DataError, match="tally key -1 is negative"):
+            ArrayTally.of(tally)
+
+    def test_merge_of_a_negative_key_raises(self):
+        good = TrafficTally()
+        good.link_visits[(0, 1)] += 1
+        bad = ArrayTally.of(good)
+        bad.link_keys = (np.array([0]), np.array([-1]))
+        with pytest.raises(DataError, match="tally key -1 is negative"):
+            ArrayTally.of(good).merge(bad)
+
+    def test_link_keys_too_large_for_one_key_raise(self):
+        tally = TrafficTally()
+        tally.link_visits[(2**62, 2**40)] += 1
+        with pytest.raises(DataError, match="do not fit one int64 key"):
+            ArrayTally.of(tally)
+
+
+def added(*tallies) -> TrafficTally:
+    """One TrafficTally holding the sum of tallies."""
+    total = TrafficTally()
+    for tally in tallies:
         for name in NAMES:
-            getattr(both, name).update(getattr(a, name))
-            getattr(both, name).update(getattr(b, name))
-        assert_same_columns(arrays.columns(), both.columns())
+            getattr(total, name).update(getattr(tally, name))
+    return total
 
-    def test_merge_rejects_another_graph(self, graph):
-        other = generate_scale_free(300, 2, 2.1, seed=3)
-        with pytest.raises(DataError, match="different graphs"):
-            dense(TrafficTally(), graph).merge(dense(TrafficTally(), other))
 
-    def test_merge_rejects_another_graph_of_the_same_shape(self):
-        one, two = (generate_scale_free(2000, 3, 2.1, seed=s) for s in (1, 2))
-        assert (one.n, one.n_edges) == (two.n, two.n_edges)
-        a, b = dense(TrafficTally(), one), dense(TrafficTally(), two)
-        with pytest.raises(DataError, match="different graphs"):
-            a.merge(b)
-        assert a.page_visits.sum() == a.link_visits.sum() == 0
+page_id = st.integers(0, 60)
+count = st.integers(1, 10**6)
+# (pages, links, starts) count dicts; small ids make keys overlap often
+tally_dicts = st.tuples(
+    st.dictionaries(page_id, count, max_size=30),
+    st.dictionaries(st.tuples(page_id, page_id), count, max_size=30),
+    st.dictionaries(page_id, count, max_size=30))
 
-    def test_link_not_in_graph_raises(self, graph):
-        tally = walked_tally(graph)
-        absent = min(set(range(1, graph.n)) - set(graph.out_neighbors(0).tolist()))
-        tally.link_visits[(0, absent)] += 1
-        with pytest.raises(DataError, match=f"link 0 -> {absent} is not in the graph"):
-            count_arrays(tally, graph)
 
-    def test_link_with_a_real_links_key_raises(self, graph):
-        # 0 -> n + v has the key of 1 -> v: it must not count there
-        tally = walked_tally(graph)
-        v = int(graph.out_neighbors(1)[0])
-        tally.link_visits[(0, graph.n + v)] += 1
-        with pytest.raises(DataError, match="is not in the graph"):
-            count_arrays(tally, graph)
+def traffic(dicts) -> TrafficTally:
+    tally = TrafficTally()
+    for name, counts in zip(NAMES, dicts):
+        getattr(tally, name).update(counts)
+    return tally
 
-    @pytest.mark.parametrize("name", ["page_visits", "session_starts"])
-    def test_page_outside_graph_raises(self, graph, name):
-        for page in (-1, graph.n):
-            tally = walked_tally(graph, steps=50)
-            getattr(tally, name)[page] += 1
-            with pytest.raises(DataError, match=f"page {page} is not in the graph"):
-                count_arrays(tally, graph)
+
+class TestMergeProperty:
+    @given(tally_dicts, tally_dicts, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_counter_addition(self, a, b, share):
+        if share:  # the same keys on both sides, other counts
+            b = tuple({k: v + 1 for k, v in mine.items()} for mine in a)
+        a, b = traffic(a), traffic(b)
+        expected = added(a, b).columns()
+        assert_same_columns(
+            ArrayTally.of(a).merge(ArrayTally.of(b)).columns(), expected)
+        assert_same_columns(
+            ArrayTally.of(b).merge(ArrayTally.of(a)).columns(), expected)
