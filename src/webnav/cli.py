@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or parse error,
-4 empty data.
+4 empty or unusable data.
 """
 
 from __future__ import annotations
@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (ConfigurationError, DataError, EmptyDataError,
-                     ParseError, StatisticsError, WebnavError)
+from .errors import (ConfigurationError, DataError, ParseError,
+                     StatisticsError, WebnavError)
 from .ingest import DEFAULT_TIMEOUT
 from .run import (_CONFIG_KEYS, RunManifest, build_config, compare_runs,
                   format_comparison, parse_config_file, run_ingest,
@@ -20,6 +20,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_EMPTY = 4
+
+# (error classes, exit code): the first match wins, so the WebnavError
+# base comes last; EmptyDataError exits as the DataError it is
+_EXIT_CODES = (
+    ((ConfigurationError, StatisticsError), EXIT_CONFIG),
+    ((ParseError, OSError), EXIT_IO),
+    (DataError, EXIT_EMPTY),
+    (WebnavError, EXIT_CONFIG),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,21 +105,9 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             return _cmd_ingest(args)
         return _cmd_compare(args)
-    except EmptyDataError as exc:
+    except (WebnavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (ConfigurationError, StatisticsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except WebnavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def entry() -> None:

@@ -9,6 +9,15 @@ class ConfigurationError(WebnavError):
     """Invalid parameter or configuration value (CLI exit code 2)."""
 
 
+class UnboundedSessionError(ConfigurationError):
+    """A session passed session.MAX_SESSION_CLICKS clicks (CLI exit code 2).
+
+    The model parameters let a session run on without end, as abc's do
+    with zero click costs. Takes one message argument, so it pickles back
+    from a pool worker.
+    """
+
+
 class ParseError(WebnavError):
     """Malformed input file.
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError
-from .session import (RunResult, SessionDescriptor, SessionTable, SessionTree,
-                      TrafficTally, entropy_row, follow, open_session)
+from .session import (ArrayTally, RunResult, SessionDescriptor, SessionTable,
+                      SessionTree, TrafficTally, entropy_row, follow, open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
 EMPTY_REFERRER = "-"
@@ -75,9 +75,10 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
     tabs; '-' (or an empty field) marks a missing referrer. Malformed
     lines, including non-finite or negative timestamps, are skipped and
     counted in stats, by reason (SKIP_REASONS). With strip_query,
-    everything from '?' on is removed from both URLs; with
-    page_extensions, records whose target carries a file extension outside
-    the set are dropped.
+    everything from '?' on is removed from both URLs before they are
+    checked: a target that strips to nothing is skipped, and a referrer
+    that strips to nothing is missing. With page_extensions, records
+    whose target carries a file extension outside the set are dropped.
     """
     if stats is None:
         stats = ParseStats()
@@ -97,16 +98,14 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
         except ValueError:
             skipped["timestamp_not_number"] += 1
             continue
+        if strip_query:
+            referrer = _strip_query(referrer)
+            target = _strip_query(target)
         if (not math.isfinite(ts) or ts < 0 or not user or not target
                 or target == EMPTY_REFERRER):
             skipped[_invalid_field(ts)] += 1
             continue
-        if referrer in ("", EMPTY_REFERRER):
-            ref = None
-        else:
-            ref = _strip_query(referrer) if strip_query else referrer
-        if strip_query:
-            target = _strip_query(target)
+        ref = None if referrer in ("", EMPTY_REFERRER) else referrer
         if exts is not None and not _page_like(target, exts):
             stats.filtered += 1
             continue
@@ -196,8 +195,8 @@ class Sessionizer:
         """Sessionize a whole record stream: feed every record, then finish.
 
         The session table comes sorted by (user, index) whatever the
-        interleaving of users' records, and each user's visit vector is
-        reduced to its entropy row, as simulate does.
+        interleaving of users' records; as in simulate, each user's visits
+        become an entropy row and the tally an ArrayTally.
         """
         descriptors = []
         keep = descriptors.extend
@@ -208,8 +207,8 @@ class Sessionizer:
         entropies = [entropy_row(user, users[user].visits) for user in sorted(users)]
         keep(self.finish())
         descriptors.sort()  # (user, index) is unique: no tie reaches the root
-        return RunResult(SessionTable.from_rows(descriptors), self.tally,
-                         entropies)
+        return RunResult(SessionTable.from_rows(descriptors),
+                         ArrayTally.of(self.tally), entropies)
 
     def _expire(self, user, state: _UserState,
                 deadline: float) -> list[SessionDescriptor]:

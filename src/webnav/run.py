@@ -23,7 +23,7 @@ from . import __version__
 from .agents import (STEP_FUNCTIONS, TELEPORT, ModelParams, ZipfRankTable,
                      make_agent)
 from .errors import (ConfigurationError, DataError, EmptyDataError,
-                     StatisticsError)
+                     StatisticsError, UnboundedSessionError)
 from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
@@ -250,7 +250,10 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                 keep(recorder.close())
                 break
             started += 1
-        closed = record(outcome)
+        try:
+            closed = record(outcome)
+        except UnboundedSessionError as exc:
+            raise UnboundedSessionError(f"{exc}: model {model}, {params}") from None
         if closed is not None:
             keep(closed)
     lines = None
@@ -408,14 +411,14 @@ def _fit_row(metric, samples: np.ndarray, xmin):
         return (metric, "nan", xmin, positive.size, "nan")
 
 
-def write_outputs(out_dir, sessions: SessionTable, tally, entropies,
-                  click_lengths) -> dict:
+def write_outputs(out_dir, sessions: SessionTable, tally: ArrayTally,
+                  entropies, click_lengths) -> dict:
     """Write the six descriptor streams, distributions, and fit summaries.
 
-    tally is a TrafficTally or an ArrayTally. session_clicks.csv is
-    counted from sessions.clicks; click_lengths, a {clicks: sessions}
-    dict as RunResult.click_lengths gives, must agree with it. Returns
-    manifest entries: metric name -> file name plus summary stats.
+    session_clicks.csv is counted from sessions.clicks; click_lengths, a
+    {clicks: sessions} dict as RunResult.click_lengths gives, must agree
+    with it. Returns manifest entries: metric name -> file name plus
+    summary stats.
 
     Raises:
         DataError: click_lengths disagrees with sessions.clicks; no file

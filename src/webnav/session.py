@@ -10,6 +10,7 @@ Sessionizer (ingest.py) both apply the rule through these two calls.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -20,7 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import BACK, FORWARD, KIND_NAMES, TELEPORT
-from .errors import DataError, ProtocolError
+from .errors import DataError, ProtocolError, UnboundedSessionError
+
+# The most clicks one session may hold. A session that reaches it cannot
+# be meant to end (the largest desk session has 199 pages), so
+# SessionRecorder.record raises UnboundedSessionError instead of running
+# on. Read at every click, so a test may lower it.
+MAX_SESSION_CLICKS = 10**7
 
 
 class SessionTree:
@@ -67,7 +74,8 @@ class TrafficTally:
 
     Counters, so any hashable pages count, with no graph behind them: the
     simulator's workers and the log Sessionizer count into one click by
-    click. Each user's visit Counter belongs to whoever feeds the tally.
+    click, and ArrayTally.of turns it into a result. Each user's visit
+    Counter belongs to whoever feeds the tally.
     """
 
     __slots__ = ("page_visits", "link_visits", "session_starts")
@@ -77,34 +85,17 @@ class TrafficTally:
         self.link_visits = Counter()
         self.session_starts = Counter()
 
-    def columns(self) -> tuple:
-        """(pages, links, starts), each (key columns, counts), rows in key order."""
-        return (_counter_columns(self.page_visits, 1),
-                _counter_columns(self.link_visits, 2),
-                _counter_columns(self.session_starts, 1))
-
-    def total_sessions(self) -> int:
-        return sum(self.session_starts.values())
-
-
-def _counter_columns(counts: Counter, width: int) -> tuple:
-    """(key columns, int64 counts) of a Counter whose keys are width wide."""
-    keys = sorted(counts)
-    values = np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
-    if width == 1:
-        return (keys,), values
-    return tuple(zip(*keys)) or ((),) * width, values
-
 
 class ArrayTally:
-    """Page, link and session-start counts as int64 key and count arrays.
+    """Page, link and session-start counts as key columns and int64 counts.
 
-    What simulate returns: each worker counts into a TrafficTally and
-    ships ArrayTally.of(it); the parent merges them. The three pairs are
-    columns() as stored: pages and starts keyed by one column of page
-    ids, links by two (src, dst), rows in key order, with page_visits,
-    link_visits and session_starts their counts. Keys are non-negative
-    integers and no graph stands behind them, so any two tallies merge.
+    The tally of every RunResult: simulate's workers and the Sessionizer
+    count into a TrafficTally and hand on ArrayTally.of(it). The three
+    pairs are columns() as stored: pages and starts keyed by one column of
+    page ids, links by two (src, dst), rows in key order, with page_visits,
+    link_visits and session_starts their counts. Integer ids are int64
+    arrays with no graph behind them, so any two such tallies merge; a
+    log's string ids are lists, as in SessionTable.
     """
 
     __slots__ = ("page_keys", "page_visits", "link_keys", "link_visits",
@@ -117,11 +108,11 @@ class ArrayTally:
 
     @classmethod
     def of(cls, tally: TrafficTally) -> "ArrayTally":
-        """The counts of a TrafficTally whose pages are integer ids.
+        """The counts of a TrafficTally whose pages are integer or string ids.
 
         Raises:
-            DataError: a negative page id, or link ids too large to read
-                as one int64 key.
+            DataError: a negative page id, link ids too large for one int64
+                key, or ids neither all integers nor all strings.
         """
         return cls(_counter_rows(tally.page_visits, 1),
                    _counter_rows(tally.link_visits, 2),
@@ -133,8 +124,24 @@ class ArrayTally:
                 (self.link_keys, self.link_visits),
                 (self.start_keys, self.session_starts))
 
+    def __eq__(self, other):
+        if not isinstance(other, ArrayTally):
+            return NotImplemented
+        # key columns, then counts, of pages, links and starts in turn
+        return all(column_list(a) == column_list(b)
+                   for (keys, counts), (other_keys, other_counts)
+                   in zip(self.columns(), other.columns())
+                   for a, b in zip((*keys, counts), (*other_keys, other_counts)))
+
     def merge(self, other: "ArrayTally") -> "ArrayTally":
-        """Add another tally into this one: equal keys sum their counts."""
+        """Add another tally into this one: equal keys sum their counts.
+
+        Raises:
+            DataError: either tally has string ids; ingest never merges.
+        """
+        for keys, _ in chain(self.columns(), other.columns()):
+            if not isinstance(keys[0], np.ndarray):
+                raise DataError("a tally of string ids does not merge")
         self.__init__(*(
             _summed_rows(tuple(map(np.concatenate, zip(keys, other_keys))),
                          np.concatenate((counts, other_counts)))
@@ -144,9 +151,21 @@ class ArrayTally:
 
 
 def _counter_rows(counts: Counter, width: int) -> tuple:
-    """(key columns, counts) of a Counter of integer keys width wide, in key order."""
-    keys = np.fromiter(chain.from_iterable(counts) if width > 1 else counts,
-                       np.int64, width * len(counts))
+    """(key columns, counts) of a Counter of keys width ids wide, in key order.
+
+    Integer ids give int64 key arrays; operator.index refuses a str, so no
+    decimal string id reads as a number. String ids give lists in string order.
+    """
+    ids = chain.from_iterable(counts) if width > 1 else counts
+    try:
+        keys = np.fromiter(map(operator.index, ids), np.int64, width * len(counts))
+    except TypeError:  # not integers: a log's string ids
+        ids = chain.from_iterable(counts) if width > 1 else counts
+        if set(map(type, ids)) != {str}:
+            raise DataError("tally ids must be all integers or all strings") from None
+        keys = sorted(counts)
+        return ((tuple(map(list, zip(*keys))) if width > 1 else (keys,)),
+                np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys)))
     values = np.fromiter(counts.values(), np.int64, len(counts))
     # keys in insertion order: quicksort beats timsort there
     return _summed_rows(tuple(keys.reshape(-1, width).T), values, "quicksort")
@@ -311,7 +330,7 @@ class RunResult:
     """In-memory outcome of a run, simulated or ingested from a log."""
 
     descriptors: SessionTable       # sorted by (user, session index)
-    tally: TrafficTally | ArrayTally   # simulate: ArrayTally; ingest: TrafficTally
+    tally: ArrayTally
     entropies: list         # entropy_row per user, sorted by user
     log_lines: list | None = None   # the exported request log, if any
     # manifest-only timings of producing the result: time.<stage>_s -> s
@@ -338,8 +357,8 @@ class RunResult:
         return {
             "total_sessions": n,
             "total_clicks": self.total_clicks,
-            "total_page_visits": _total(self.tally.page_visits),
-            "total_link_visits": _total(self.tally.link_visits),
+            "total_page_visits": int(self.tally.page_visits.sum()),
+            "total_link_visits": int(self.tally.link_visits.sum()),
             # integer sums, divided once: the same floats as the row sums
             "mean_session_size": int(table.size.sum()) / n if n else math.nan,
             "mean_session_depth": int(table.depth.sum()) / n if n else math.nan,
@@ -355,24 +374,18 @@ def count_clicks(clicks: np.ndarray) -> dict:
     return dict(zip(values.tolist(), sessions.tolist()))
 
 
-def _total(counts) -> int:
-    """The sum of a tally's Counter or count array, as it is stored."""
-    if isinstance(counts, np.ndarray):
-        return int(counts.sum())
-    return sum(counts.values())
-
-
 class SessionRecorder:
     """Builds session trees from (kind, page) steps and feeds a TrafficTally.
 
     One recorder per user; visits is its user's visit Counter, which
     entropy_row reads. record() takes a step as the step functions
     return it, kind one of TELEPORT, FORWARD or BACK, and returns the
-    descriptor of the session a teleport just closed (None otherwise);
-    close() finishes the last session. requests, when given, is a list
-    that gets one (referrer, target) pair appended for every click a
-    browser would actually issue: session roots (referrer None) and first
-    visits (referrer = the click's source page).
+    descriptor of the session a teleport just closed (None otherwise), or
+    raises UnboundedSessionError on a session's click past
+    MAX_SESSION_CLICKS; close() finishes the last session. requests, when
+    given, is a list that gets one (referrer, target) pair appended for
+    every click a browser would actually issue: session roots (referrer
+    None) and first visits (referrer = the click's source page).
     """
 
     __slots__ = ("user", "tally", "visits", "tree", "position", "clicks",
@@ -392,7 +405,10 @@ class SessionRecorder:
         kind, to = step
         tree = self.tree
         if kind == FORWARD and tree is not None:  # the most common step first
-            self.clicks += 1
+            clicks = self.clicks + 1
+            if clicks > MAX_SESSION_CLICKS:
+                raise self._unbounded()
+            self.clicks = clicks
             src = self.position
             if (follow(self.tally, self.visits, tree, src, to)
                     and self.requests is not None):
@@ -411,7 +427,10 @@ class SessionRecorder:
             raise ProtocolError(f"unknown outcome kind {kind!r}")
         if tree is None:
             raise ProtocolError(f"{KIND_NAMES[kind]} step before any session start")
-        self.clicks += 1
+        clicks = self.clicks + 1
+        if clicks > MAX_SESSION_CLICKS:
+            raise self._unbounded()
+        self.clicks = clicks
         # back targets were visited this session; cache serves them
         if to not in tree:
             raise ProtocolError(f"back to {to!r}, never visited this session")
@@ -426,6 +445,11 @@ class SessionRecorder:
         self.tree = None
         self.position = None
         return desc
+
+    def _unbounded(self) -> UnboundedSessionError:
+        return UnboundedSessionError(
+            f"agent {self.user!r} session {self.sessions_closed} passed "
+            f"{MAX_SESSION_CLICKS} clicks")
 
     def _close_current(self) -> SessionDescriptor:
         tree = self.tree

@@ -1,7 +1,8 @@
 """Golden outputs: the exact bytes of a small simulate -> ingest run per model.
 
-Every output byte is a function of (config, seed), so these digests must
-not move unless a change is meant to alter outputs. fits.csv and the
+Every output byte is a function of (config, seed), whatever the worker
+count, so these digests must not move unless a change is meant to alter
+outputs, and 1 and 2 workers must give them alike. fits.csv and the
 dist_*.csv files are left out (their float sums depend on numpy's
 summation order), and so is the manifest (wall time, paths).
 """
@@ -121,11 +122,14 @@ def _digests(out_dir, names):
             for name in names}
 
 
-@pytest.mark.parametrize("model", sorted(GOLDEN))
-def test_golden_outputs(tmp_path, model):
+# the 1-worker case keeps the plain model id
+@pytest.mark.parametrize("model, workers", [
+    pytest.param(model, workers, id=model if workers == 1 else f"{model}-2workers")
+    for model in sorted(GOLDEN) for workers in (1, 2)])
+def test_golden_outputs(tmp_path, model, workers):
     sim_dir = tmp_path / "sim"
     run_simulation(SimConfig(model=model, graph_n=5000, n_agents=40, sessions=50,
-                             seed=31, workers=1, out_dir=str(sim_dir),
+                             seed=31, workers=workers, out_dir=str(sim_dir),
                              export_log=True))
     ing_dir = tmp_path / "ingest"
     run_ingest(sim_dir / "requests.log", ing_dir)

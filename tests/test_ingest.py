@@ -12,7 +12,7 @@ from webnav import (ModelParams, SimConfig, TrafficTally, generate_scale_free,
 from webnav.errors import ConfigurationError
 from webnav.ingest import (SKIP_REASONS, LogRecord, ParseStats, Sessionizer,
                            _LiveSession, _UserState)
-from webnav.session import SessionDescriptor, follow, open_session
+from webnav.session import ArrayTally, SessionDescriptor, follow, open_session
 
 
 def records(*rows):
@@ -36,6 +36,17 @@ class TestParseLog:
         (rec,) = parse_log(lines, strip_query=True)
         assert rec.target == "http://a.example/x"
         assert rec.referrer == "http://a/ref"
+
+    def test_target_that_strips_to_nothing_is_skipped(self):
+        stats = ParseStats()
+        assert list(parse_log(["0\tu\t-\t?page=1\n"], strip_query=True,
+                              stats=stats)) == []
+        assert stats.skipped_by_reason == {
+            r: int(r == "empty_user_or_target") for r in SKIP_REASONS}
+
+    def test_referrer_that_strips_to_nothing_is_missing(self):
+        (rec,) = parse_log(["0\tu\t?x\tA\n"], strip_query=True)
+        assert rec == LogRecord(0.0, "u", None, "A")
 
     def test_wrong_field_count_dropped_and_counted(self):
         stats = ParseStats()
@@ -288,7 +299,16 @@ class TestSessionizerRun:
         result = Sessionizer().run(records((0, "u", None, "A")))
         assert [(d.size, d.depth) for d in result.descriptors] == [(1, 0)]
         assert result.entropies == [("u", 0.0, 1)]
-        assert result.tally.page_visits == {"A": 1}
+        assert (result.tally.page_keys, result.tally.page_visits.tolist()) == (
+            (["A"],), [1])
+
+    def test_rerun_of_one_log_gives_an_equal_result(self):
+        log = records((0, "u", None, "A"), (1, "u", "A", "B"), (2, "v", None, "A"))
+        first, again = Sessionizer().run(log), Sessionizer().run(log)
+        assert isinstance(first.tally, ArrayTally)
+        assert first == again
+        again.tally.link_visits[0] += 1
+        assert first != again
 
     def test_mean_sessions_per_user(self):
         recs = records(*[(i, f"u{i % 3}", None, f"p{i}") for i in range(12)])
@@ -583,6 +603,5 @@ class TestSessionizerMatchesReference:
         ra, rb = a.run(log), b.run(mixed)
         assert ra.descriptors == rb.descriptors  # list order included
         assert ra.entropies == rb.entropies
-        for name in ("page_visits", "link_visits", "session_starts"):
-            assert getattr(ra.tally, name) == getattr(rb.tally, name)
+        assert ra.tally == rb.tally
         assert a.out_of_order == b.out_of_order

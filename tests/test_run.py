@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from webnav import run as run_module
+from webnav import session as session_module
 from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
                     compare_runs, generate_scale_free, run_ingest,
                     run_simulation, simulate)
 from webnav import cli
 from webnav.cli import main
-from webnav.errors import ConfigurationError, DataError
+from webnav.errors import ConfigurationError, DataError, UnboundedSessionError
 from webnav.agents import STEP_FUNCTIONS, TELEPORT, ZipfRankTable, make_agent
 from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK, _run_queue,
                         _write_count_csv, build_config, parse_config_file,
@@ -150,6 +151,25 @@ class TestSimulate:
             else:
                 assert snapshot == base
 
+    def test_worker_counts_give_equal_results(self, graph):
+        one, two = (simulate(SimConfig(model="bookrank", n_agents=6, sessions=15,
+                                       seed=8, workers=workers), graph=graph)
+                    for workers in (1, 2))
+        assert one == two
+        two.tally.page_visits[0] += 1
+        assert one != two
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_session_that_cannot_end_raises(self, graph, monkeypatch, workers):
+        # with no click costs an abc session never runs out of energy
+        monkeypatch.setattr(session_module, "MAX_SESSION_CLICKS", 2000)
+        config = SimConfig(model="abc", n_agents=3, sessions=5, seed=8,
+                           workers=workers, params=ModelParams(c_f=0.0, c_b=0.0))
+        with pytest.raises(UnboundedSessionError,
+                           match=r"agent \d+ session 0 passed 2000 clicks: "
+                                 r"model abc, ModelParams\(.*c_f=0\.0, c_b=0\.0"):
+            simulate(config, graph=graph)
+
 
 def reference_descriptors(config: SimConfig, graph) -> list:
     """simulate's sessions as a list of descriptors, one agent at a time."""
@@ -265,7 +285,7 @@ class TestCounterCsv:
         split_key = isinstance(next(iter(counter)), tuple)
         tally = TrafficTally()
         (tally.link_visits if split_key else tally.page_visits).update(counter)
-        pages, links, _ = tally.columns()
+        pages, links, _ = ArrayTally.of(tally).columns()
         path = tmp_path / "tally.csv"
         _write_count_csv(path, ["key", "count"], *(links if split_key else pages))
         with open(path, newline="") as fh:
@@ -290,27 +310,6 @@ class TestCounterCsv:
             writer.writerows(zip(src.tolist(), dst.tolist(), counts.tolist()))
         assert path.read_bytes() == expected.read_bytes()
 
-    def test_array_and_counter_tallies_write_same_bytes(self, tmp_path, graph):
-        config = SimConfig(model="pagerank", n_agents=4, sessions=40, seed=5)
-        result = simulate(config, graph=graph)
-        assert isinstance(result.tally, ArrayTally)
-        counters = TrafficTally()
-        for name, (columns, counts) in zip(
-                ("page_visits", "link_visits", "session_starts"),
-                result.tally.columns()):
-            keys = [key if len(key) > 1 else key[0]
-                    for key in zip(*(c.tolist() for c in columns))]
-            # the same counts, keys in reverse order
-            getattr(counters, name).update(
-                dict(reversed(list(zip(keys, counts.tolist())))))
-        for out, tally in ((tmp_path / "arrays", result.tally),
-                           (tmp_path / "counters", counters)):
-            write_outputs(out, result.descriptors, tally, result.entropies,
-                          result.click_lengths)
-        for path in sorted((tmp_path / "arrays").iterdir()):
-            assert filecmp.cmp(path, tmp_path / "counters" / path.name,
-                               shallow=False), path.name
-
 
 class TestSessionsCsv:
     @pytest.mark.parametrize("rows", [1, _WRITE_CHUNK, _WRITE_CHUNK + 1])
@@ -323,7 +322,7 @@ class TestSessionsCsv:
             rng.integers(1, 10**6, rows), rng.integers(0, 10**5, rows),
             rng.integers(0, 10**7, rows)])
         table = SessionTable.from_block(block)
-        write_outputs(tmp_path / "out", table, TrafficTally(), [],
+        write_outputs(tmp_path / "out", table, ArrayTally.of(TrafficTally()), [],
                       Counter(table.clicks.tolist()))
         expected = tmp_path / "expected.csv"
         with open(expected, "wt", encoding="utf-8", newline="") as fh:
@@ -340,14 +339,14 @@ class TestSessionClicksCsv:
 
     def test_written_from_the_clicks_column(self, tmp_path):
         table = self.one_session()
-        write_outputs(tmp_path / "out", table, TrafficTally(), [], {3: 1})
+        write_outputs(tmp_path / "out", table, ArrayTally.of(TrafficTally()), [], {3: 1})
         assert ((tmp_path / "out" / "session_clicks.csv").read_text()
                 == "clicks,count\n3,1\n")
 
     def test_disagreeing_click_lengths_raise_before_writing(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(DataError, match="click_lengths disagree"):
-            write_outputs(out, self.one_session(), TrafficTally(), [], {7: 2})
+            write_outputs(out, self.one_session(), ArrayTally.of(TrafficTally()), [], {7: 2})
         assert not out.exists()
 
 
@@ -454,6 +453,25 @@ class TestCli:
         assert main(["ingest", str(log), "--timeout", timeout,
                      "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+
+    def test_malformed_graph_line_exits_3(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 two\n")
+        assert main(["simulate", "--graph", str(edges),
+                     "--out", str(tmp_path / "x")]) == 3
+
+    def test_graph_of_only_self_loops_exits_4(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 0\n1 1\n")
+        assert main(["simulate", "--graph", str(edges),
+                     "--out", str(tmp_path / "x")]) == 4
+
+    def test_session_that_cannot_end_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(session_module, "MAX_SESSION_CLICKS", 2000)
+        assert main(["simulate", "--model", "abc", "--n", "800", "--agents", "2",
+                     "--sessions", "3", "--cf", "0", "--cb", "0",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "passed 2000 clicks: model abc" in capsys.readouterr().err
 
     def test_empty_log_exits_4(self, tmp_path):
         log = tmp_path / "empty.log"

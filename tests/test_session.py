@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import webnav.session
 from webnav import (BACK, FORWARD, TELEPORT, ModelParams, TrafficTally,
                     entropy_bits, generate_scale_free, make_agent, pagerank_step)
-from webnav.errors import DataError, ProtocolError
+from webnav.errors import DataError, ProtocolError, UnboundedSessionError
 from webnav.session import ArrayTally, SessionRecorder, follow, open_session
 
 
@@ -206,7 +207,7 @@ class TestConservation:
         descs, tally = replay(ops)
         assert sum(tally.page_visits.values()) == sum(d.size for d in descs)
         assert sum(tally.link_visits.values()) == sum(d.size - 1 for d in descs)
-        assert tally.total_sessions() == len(descs)
+        assert sum(tally.session_starts.values()) == len(descs)
 
     @given(session_strategy)
     @settings(max_examples=400, deadline=None)
@@ -237,19 +238,33 @@ def walked_tally(graph, seed=1, steps=3000):
 NAMES = ("page_visits", "link_visits", "session_starts")
 
 
+def sorted_columns(tally: TrafficTally) -> tuple:
+    """(pages, links, starts) of a TrafficTally from sorted(counter.items()).
+
+    The reference ArrayTally.of is checked against, built without numpy.
+    """
+    out = []
+    for name, width in zip(NAMES, (1, 2, 1)):
+        rows = sorted(getattr(tally, name).items())
+        keys = [key for key, _ in rows]
+        columns = (tuple(zip(*keys)) or ((), ())) if width == 2 else (keys,)
+        out.append((columns, [n for _, n in rows]))
+    return tuple(out)
+
+
 def assert_same_columns(got, expected):
     """Two columns() results hold the same keys and counts, in one order."""
     assert len(got) == len(expected) == 3
     for (columns, counts), (want_columns, want_counts) in zip(got, expected):
         assert [list(c) for c in columns] == [list(c) for c in want_columns]
         assert counts.dtype == np.int64
-        assert counts.tolist() == want_counts.tolist()
+        assert counts.tolist() == list(want_counts)
 
 
 class TestArrayTally:
     def test_columns_equal_the_counters_columns(self, graph):
         tally = walked_tally(graph)
-        assert_same_columns(ArrayTally.of(tally).columns(), tally.columns())
+        assert_same_columns(ArrayTally.of(tally).columns(), sorted_columns(tally))
 
     def test_constructor_takes_the_columns(self, graph):
         arrays = ArrayTally.of(walked_tally(graph))
@@ -258,23 +273,23 @@ class TestArrayTally:
         assert again.page_visits is arrays.page_visits
 
     def test_empty_tally_has_empty_columns(self):
-        for tally in (ArrayTally.of(TrafficTally()), TrafficTally()):
-            for (columns, counts), width in zip(tally.columns(), (1, 2, 1)):
-                assert len(columns) == width
-                assert all(len(c) == 0 for c in columns) and counts.size == 0
+        tally = ArrayTally.of(TrafficTally())
+        for (columns, counts), width in zip(tally.columns(), (1, 2, 1)):
+            assert len(columns) == width
+            assert all(len(c) == 0 for c in columns) and counts.size == 0
 
     def test_merge_adds_after_pickling(self, graph):
         a, b = walked_tally(graph, seed=1), walked_tally(graph, seed=2)
         arrays = ArrayTally.of(a)
         copy = pickle.loads(pickle.dumps(ArrayTally.of(b)))
         assert arrays.merge(copy) is arrays
-        assert_same_columns(arrays.columns(), added(a, b).columns())
+        assert_same_columns(arrays.columns(), sorted_columns(added(a, b)))
 
     def test_tallies_of_different_graphs_merge_by_key(self):
         one, two = (generate_scale_free(300, 2, 2.1, seed=s) for s in (1, 2))
         a, b = walked_tally(one), walked_tally(two)
         merged = ArrayTally.of(a).merge(ArrayTally.of(b))
-        assert_same_columns(merged.columns(), added(a, b).columns())
+        assert_same_columns(merged.columns(), sorted_columns(added(a, b)))
 
     def test_links_sharing_a_flat_key_stay_apart(self):
         # alone, 1 -> 0 reads as key 1 * 1 + 0 and 0 -> 1 as 0 * 2 + 1
@@ -310,6 +325,66 @@ class TestArrayTally:
         with pytest.raises(DataError, match="do not fit one int64 key"):
             ArrayTally.of(tally)
 
+    def test_string_ids_stay_strings_in_string_order(self):
+        tally = TrafficTally()
+        for page in ("10", "9"):
+            tally.page_visits[page] += 1
+            tally.session_starts[page] += 2
+        tally.link_visits[("9", "10")] += 3
+        tally.link_visits[("10", "9")] += 4
+        pages, links, starts = ArrayTally.of(tally).columns()
+        assert pages == ((["10", "9"],), pages[1])
+        assert pages[1].tolist() == [1, 1]
+        assert links[0] == (["10", "9"], ["9", "10"])
+        assert links[1].tolist() == [4, 3]
+        assert starts[0] == (["10", "9"],) and starts[1].tolist() == [2, 2]
+
+    @pytest.mark.parametrize("name, keys", [
+        ("page_visits", (1, "a")), ("page_visits", ("a", 1)),
+        ("link_visits", ((0, 1), ("a", "b"))), ("link_visits", (("a", 1),)),
+        ("session_starts", ("10", 9)), ("page_visits", (1.5,))],
+        ids=["page_int_first", "page_str_first", "links", "one_link",
+             "decimal_start", "float"])
+    def test_ids_not_all_integers_or_all_strings_raise(self, name, keys):
+        tally = TrafficTally()
+        getattr(tally, name).update(keys)
+        with pytest.raises(DataError, match="all integers or all strings"):
+            ArrayTally.of(tally)
+
+    def test_merge_of_string_ids_raises(self):
+        strings, ints = TrafficTally(), TrafficTally()
+        strings.page_visits["A"] += 1
+        ints.page_visits[0] += 1
+        for a, b in ((strings, ints), (ints, strings), (strings, strings)):
+            with pytest.raises(DataError, match="string ids"):
+                ArrayTally.of(a).merge(ArrayTally.of(b))
+
+    def test_equal_counts_compare_equal(self, graph):
+        tally = walked_tally(graph)
+        a, b = ArrayTally.of(tally), ArrayTally.of(tally)
+        assert a == b and a is not b
+        b.link_visits[-1] += 1
+        assert a != b
+        ints, strings = TrafficTally(), TrafficTally()
+        ints.page_visits[1] += 1
+        strings.page_visits["1"] += 1
+        assert ArrayTally.of(ints) != ArrayTally.of(strings)
+
+
+class TestSessionCap:
+    @pytest.mark.parametrize("last", [(FORWARD, 5), (BACK, 2)],
+                             ids=["forward", "back"])
+    def test_click_past_the_cap_raises(self, monkeypatch, last):
+        monkeypatch.setattr(webnav.session, "MAX_SESSION_CLICKS", 3)
+        rec = SessionRecorder(7, TrafficTally())
+        for step in ((TELEPORT, 0), (FORWARD, 1), (TELEPORT, 2), (FORWARD, 3),
+                     (BACK, 2), (FORWARD, 4)):
+            rec.record(step)
+        assert rec.clicks == 3
+        with pytest.raises(UnboundedSessionError,
+                           match="agent 7 session 1 passed 3 clicks"):
+            rec.record(last)
+
 
 def added(*tallies) -> TrafficTally:
     """One TrafficTally holding the sum of tallies."""
@@ -343,7 +418,7 @@ class TestMergeProperty:
         if share:  # the same keys on both sides, other counts
             b = tuple({k: v + 1 for k, v in mine.items()} for mine in a)
         a, b = traffic(a), traffic(b)
-        expected = added(a, b).columns()
+        expected = sorted_columns(added(a, b))
         assert_same_columns(
             ArrayTally.of(a).merge(ArrayTally.of(b)).columns(), expected)
         assert_same_columns(
