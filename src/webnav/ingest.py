@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ProtocolError
 from .session import (ArrayTally, RunResult, SessionDescriptor, SessionTable,
                       SessionTree, TrafficTally, entropy_row, follow, open_session)
 
@@ -147,10 +147,11 @@ class _UserState:
 class Sessionizer:
     """Streaming session reconstruction; memory scales with live sessions.
 
-    tally collects the page, link and session-start counts. out_of_order
-    counts records whose timestamp is below that of their user's previous
-    record. Such records are still assigned as usual, but never move their
-    session's last activity backwards.
+    tally collects the requests that count toward the page, link and
+    session-start traffic. out_of_order counts records whose timestamp is
+    below that of their user's previous record. Such records are still
+    assigned as usual, but never move their session's last activity
+    backwards. One instance sessionizes one log.
 
     Raises:
         ConfigurationError: a timeout that is nan or negative.
@@ -197,7 +198,14 @@ class Sessionizer:
         The session table comes sorted by (user, index) whatever the
         interleaving of users' records; as in simulate, each user's visits
         become an entropy row and the tally an ArrayTally.
+
+        Raises:
+            ProtocolError: the instance was already fed, by feed() or an
+                earlier run(); its tally would hold that log's counts too.
         """
+        if self.tally.starts:  # a user's first record always opens a session
+            raise ProtocolError("Sessionizer.run needs a fresh instance: "
+                                "this one was already fed")
         descriptors = []
         keep = descriptors.extend
         feed = self.feed

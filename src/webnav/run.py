@@ -278,7 +278,7 @@ def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                         zipf, export, tally)
         for agent_id, quota in queue
     ]
-    # arrays pickle and merge far faster than tuple-keyed Counters
+    # the queue's requests, counted once: arrays pickle and merge fast
     shipped = ArrayTally.of(tally)
     end = time.perf_counter()
     return QueueOutput(agents=agents, tally=shipped, compute_s=end - start,

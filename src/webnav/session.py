@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -70,27 +71,44 @@ class SessionDescriptor(NamedTuple):
 
 
 class TrafficTally:
-    """Accumulator of page, link, and session-start counts.
+    """The tallied requests of a run, as three append-only columns.
 
-    Counters, so any hashable pages count, with no graph behind them: the
-    simulator's workers and the log Sessionizer count into one click by
-    click, and ArrayTally.of turns it into a result. Each user's visit
-    Counter belongs to whoever feeds the tally.
+    starts holds each session's root, and src and dst the two ends of
+    each first-visit click, so the pages tallied are starts then dst.
+    Lists, so any hashable pages count, with no graph behind them: the
+    simulator's workers and the log Sessionizer append to one click by
+    click, and ArrayTally.of counts it once. Each user's visit Counter
+    belongs to whoever feeds the tally.
     """
 
-    __slots__ = ("page_visits", "link_visits", "session_starts")
+    __slots__ = ("starts", "src", "dst")
 
     def __init__(self):
-        self.page_visits = Counter()
-        self.link_visits = Counter()
-        self.session_starts = Counter()
+        self.starts = []
+        self.src = []
+        self.dst = []
+
+    # Read-only Counter views, counted from the columns on each read: for
+    # tests and probes, not for runs.
+
+    @property
+    def page_visits(self) -> MappingProxyType:
+        return MappingProxyType(Counter(chain(self.starts, self.dst)))
+
+    @property
+    def link_visits(self) -> MappingProxyType:
+        return MappingProxyType(Counter(zip(self.src, self.dst)))
+
+    @property
+    def session_starts(self) -> MappingProxyType:
+        return MappingProxyType(Counter(self.starts))
 
 
 class ArrayTally:
     """Page, link and session-start counts as key columns and int64 counts.
 
     The tally of every RunResult: simulate's workers and the Sessionizer
-    count into a TrafficTally and hand on ArrayTally.of(it). The three
+    record into a TrafficTally and hand on ArrayTally.of(it). The three
     pairs are columns() as stored: pages and starts keyed by one column of
     page ids, links by two (src, dst), rows in key order, with page_visits,
     link_visits and session_starts their counts. Integer ids are int64
@@ -110,13 +128,31 @@ class ArrayTally:
     def of(cls, tally: TrafficTally) -> "ArrayTally":
         """The counts of a TrafficTally whose pages are integer or string ids.
 
+        Pages are counted from starts and dst, links from (src, dst) and
+        starts from starts. Integer ids give int64 key arrays; operator.index
+        refuses a str, so no decimal string id reads as a number. String ids
+        give lists in string order.
+
         Raises:
             DataError: a negative page id, link ids too large for one int64
                 key, or ids neither all integers nor all strings.
         """
-        return cls(_counter_rows(tally.page_visits, 1),
-                   _counter_rows(tally.link_visits, 2),
-                   _counter_rows(tally.session_starts, 1))
+        starts, src, dst = tally.starts, tally.src, tally.dst
+        try:
+            starts, src, dst = (
+                np.fromiter(map(operator.index, column), np.int64, len(column))
+                for column in (starts, src, dst))
+        except TypeError:  # not integers: a log's string ids
+            if set(map(type, chain(starts, src, dst))) != {str}:
+                raise DataError("tally ids must be all integers or all strings") from None
+            return cls(_string_rows(Counter(chain(starts, dst)), 1),
+                       _string_rows(Counter(zip(src, dst)), 2),
+                       _string_rows(Counter(starts), 1))
+        # rows in request order: quicksort beats timsort there
+        return cls(*(_summed_rows(columns, np.ones(columns[0].size, np.int64),
+                                  "quicksort")
+                     for columns in ((np.concatenate((starts, dst)),),
+                                     (src, dst), (starts,))))
 
     def columns(self) -> tuple:
         """(pages, links, starts), each (key columns, counts), rows in key order."""
@@ -150,25 +186,15 @@ class ArrayTally:
         return self
 
 
-def _counter_rows(counts: Counter, width: int) -> tuple:
-    """(key columns, counts) of a Counter of keys width ids wide, in key order.
+def _string_rows(counts: Counter, width: int) -> tuple:
+    """(key columns, counts) of a Counter of string keys width ids wide.
 
-    Integer ids give int64 key arrays; operator.index refuses a str, so no
-    decimal string id reads as a number. String ids give lists in string order.
+    Keys are lists in string order.
     """
-    ids = chain.from_iterable(counts) if width > 1 else counts
-    try:
-        keys = np.fromiter(map(operator.index, ids), np.int64, width * len(counts))
-    except TypeError:  # not integers: a log's string ids
-        ids = chain.from_iterable(counts) if width > 1 else counts
-        if set(map(type, ids)) != {str}:
-            raise DataError("tally ids must be all integers or all strings") from None
-        keys = sorted(counts)
-        return ((tuple(map(list, zip(*keys))) if width > 1 else (keys,)),
-                np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys)))
-    values = np.fromiter(counts.values(), np.int64, len(counts))
-    # keys in insertion order: quicksort beats timsort there
-    return _summed_rows(tuple(keys.reshape(-1, width).T), values, "quicksort")
+    keys = sorted(counts)
+    columns = (tuple([key[i] for key in keys] for i in range(width)) if width > 1
+               else (keys,))
+    return columns, np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
 
 
 def _summed_rows(columns: tuple, counts: np.ndarray, kind="stable") -> tuple:
@@ -207,11 +233,8 @@ def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
 
     visits is the user's visit Counter.
     """
+    tally.starts.append(root)
     # d[k] = d.get(k, 0) + 1 counts without Counter.__missing__ on new keys
-    starts = tally.session_starts
-    starts[root] = starts.get(root, 0) + 1
-    pages = tally.page_visits
-    pages[root] = pages.get(root, 0) + 1
     visits[root] = visits.get(root, 0) + 1
     return SessionTree(root)
 
@@ -226,11 +249,8 @@ def follow(tally: TrafficTally, visits: Counter, tree: SessionTree, src, dst) ->
     if dst in tree.depth:
         return False
     tree.add_edge(src, dst)
-    pages = tally.page_visits
-    pages[dst] = pages.get(dst, 0) + 1
-    links = tally.link_visits
-    link = (src, dst)
-    links[link] = links.get(link, 0) + 1
+    tally.src.append(src)
+    tally.dst.append(dst)
     visits[dst] = visits.get(dst, 0) + 1
     return True
 

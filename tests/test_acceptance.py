@@ -359,19 +359,15 @@ def test_criterion_10c_cache_single_count_rule():
     tally = TrafficTally()
     recorder = SessionRecorder("u", tally)
     for _ in range(sessions):
-        pages_before = Counter(tally.page_visits)
-        links_before = Counter(tally.link_visits)
+        # the requests this session tallies are what it appends to the columns
+        a, b, c = len(tally.starts), len(tally.dst), len(tally.src)
         for outcome in _random_session_ops(rng):
             recorder.record(outcome)
         tree = recorder.tree
-        page_delta = Counter(tally.page_visits)
-        page_delta.subtract(pages_before)
-        link_delta = Counter(tally.link_visits)
-        link_delta.subtract(links_before)
-        assert all(v <= 1 for v in page_delta.values())
-        assert all(v <= 1 for v in link_delta.values())
-        assert sum(page_delta.values()) == tree.size
-        assert sum(link_delta.values()) == tree.size - 1
+        pages = tally.starts[a:] + tally.dst[b:]
+        links = list(zip(tally.src[c:], tally.dst[b:]))
+        assert len(set(pages)) == len(pages) == tree.size
+        assert len(set(links)) == len(links) == tree.size - 1
     recorder.close()
     report(10, "properties/cache-single-count", True,
            f"{sessions} random sessions: every page and link tallied at most "

@@ -372,6 +372,43 @@ class TestAbcStep:
             assert all(p in state.session_delta for p in state.history)
 
 
+@pytest.fixture(scope="module")
+def large_graph():
+    return generate_scale_free(20_000, 3, 2.1, seed=11)
+
+
+class TestAbcOracles:
+    """Exact laws of the abc model, not statistical ones."""
+
+    @pytest.mark.parametrize("changes", [
+        {"p_b": 0.3}, {"p_b": 0.5}, {"p_b": 0.7}, {"beta": 0.5}],
+        ids=["p_b=0.3", "p_b=0.5", "p_b=0.7", "beta=0.5"])
+    def test_chain_law(self, large_graph, changes):
+        # eta = 0 and delta0 = c_f make a first visit free; e0 = c_b makes
+        # the first back (E = 0) or revisit (E < 0) end the session, so
+        # every session is a chain of first visits plus that one click
+        base = ModelParams()
+        params = ModelParams(eta=0.0, delta0=base.c_f, e0=base.c_b, **changes)
+        result = simulate(SimConfig(model="abc", n_agents=20, sessions=300,
+                                    seed=8, workers=1, params=params),
+                          graph=large_graph)
+        table = result.descriptors
+        assert (table.depth == table.size - 1).all()
+        assert (table.clicks == table.size).all()
+        assert table.size.max() > 2  # the law holds beyond trivial chains
+
+    def test_entropy_ceiling(self, large_graph):
+        # teleports go only to bookmarks, pages already visited, so a user
+        # visits at most 1 + sum(size - 1) pages: S <= log2 of that
+        result = simulate(SimConfig(model="abc", n_agents=30, sessions=300,
+                                    seed=9, workers=1), graph=large_graph)
+        new_pages = Counter()
+        for d in result.descriptors:
+            new_pages[d.user] += d.size - 1
+        for user, bits, _ in result.entropies:
+            assert bits <= math.log2(1 + new_pages[user]) + 1e-9, user
+
+
 class TestDeterminism:
     def test_same_seed_same_stream(self, graph):
         params = ModelParams()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tallies import string_keyed
 from webnav import (ModelParams, SimConfig, TrafficTally, generate_scale_free,
                     parse_log, run_ingest, sessionize, simulate)
-from webnav.errors import ConfigurationError
+from webnav.errors import ConfigurationError, ProtocolError
 from webnav.ingest import (SKIP_REASONS, LogRecord, ParseStats, Sessionizer,
                            _LiveSession, _UserState)
 from webnav.session import ArrayTally, SessionDescriptor, follow, open_session
@@ -309,6 +309,27 @@ class TestSessionizerRun:
         assert first == again
         again.tally.link_visits[0] += 1
         assert first != again
+
+    def test_second_run_raises(self):
+        worker = Sessionizer()
+        worker.run(records((0, "u", None, "A"), (1, "u", "A", "B")))
+        with pytest.raises(ProtocolError, match="already fed"):
+            worker.run(records((2, "v", None, "C")))
+
+    def test_run_after_feed_raises(self):
+        worker = Sessionizer()
+        worker.feed(records((0, "u", None, "A"))[0])
+        with pytest.raises(ProtocolError, match="already fed"):
+            worker.run(records((1, "u", "A", "B")))
+
+    def test_re_requests_are_clicks(self):
+        # a real log's re-requests of pages in the tree count as clicks,
+        # so size s need not mean s - 1 clicks
+        result = Sessionizer().run(records(
+            (0, "u", None, "A"), (1, "u", "A", "B"), (2, "u", "A", "B"),
+            (3, "u", "B", "A")))
+        assert [(d.size, d.clicks) for d in result.descriptors] == [(2, 3)]
+        assert result.summary()["total_link_visits"] == 1
 
     def test_mean_sessions_per_user(self):
         recs = records(*[(i, f"u{i % 3}", None, f"p{i}") for i in range(12)])

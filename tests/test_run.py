@@ -284,7 +284,12 @@ class TestCounterCsv:
     def test_rows_follow_sorted_items(self, tmp_path, counter):
         split_key = isinstance(next(iter(counter)), tuple)
         tally = TrafficTally()
-        (tally.link_visits if split_key else tally.page_visits).update(counter)
+        if split_key:
+            for src, dst in counter.elements():
+                tally.src.append(src)
+                tally.dst.append(dst)
+        else:
+            tally.starts.extend(counter.elements())
         pages, links, _ = ArrayTally.of(tally).columns()
         path = tmp_path / "tally.csv"
         _write_count_csv(path, ["key", "count"], *(links if split_key else pages))

@@ -238,14 +238,29 @@ def walked_tally(graph, seed=1, steps=3000):
 NAMES = ("page_visits", "link_visits", "session_starts")
 
 
-def sorted_columns(tally: TrafficTally) -> tuple:
-    """(pages, links, starts) of a TrafficTally from sorted(counter.items()).
+def tally_of(starts=(), links=()) -> TrafficTally:
+    """A TrafficTally holding the session roots starts and the clicks links."""
+    tally = TrafficTally()
+    tally.starts.extend(starts)
+    for src, dst in links:
+        tally.src.append(src)
+        tally.dst.append(dst)
+    return tally
+
+
+def views(tally: TrafficTally) -> tuple:
+    """(pages, links, starts) Counter views of a TrafficTally."""
+    return tuple(getattr(tally, name) for name in NAMES)
+
+
+def sorted_columns(counts: tuple) -> tuple:
+    """(pages, links, starts) of three count mappings from sorted(counts.items()).
 
     The reference ArrayTally.of is checked against, built without numpy.
     """
     out = []
-    for name, width in zip(NAMES, (1, 2, 1)):
-        rows = sorted(getattr(tally, name).items())
+    for mapping, width in zip(counts, (1, 2, 1)):
+        rows = sorted(mapping.items())
         keys = [key for key, _ in rows]
         columns = (tuple(zip(*keys)) or ((), ())) if width == 2 else (keys,)
         out.append((columns, [n for _, n in rows]))
@@ -264,7 +279,8 @@ def assert_same_columns(got, expected):
 class TestArrayTally:
     def test_columns_equal_the_counters_columns(self, graph):
         tally = walked_tally(graph)
-        assert_same_columns(ArrayTally.of(tally).columns(), sorted_columns(tally))
+        assert_same_columns(ArrayTally.of(tally).columns(),
+                            sorted_columns(views(tally)))
 
     def test_constructor_takes_the_columns(self, graph):
         arrays = ArrayTally.of(walked_tally(graph))
@@ -283,77 +299,66 @@ class TestArrayTally:
         arrays = ArrayTally.of(a)
         copy = pickle.loads(pickle.dumps(ArrayTally.of(b)))
         assert arrays.merge(copy) is arrays
-        assert_same_columns(arrays.columns(), sorted_columns(added(a, b)))
+        assert_same_columns(arrays.columns(),
+                            sorted_columns(added(views(a), views(b))))
 
     def test_tallies_of_different_graphs_merge_by_key(self):
         one, two = (generate_scale_free(300, 2, 2.1, seed=s) for s in (1, 2))
         a, b = walked_tally(one), walked_tally(two)
         merged = ArrayTally.of(a).merge(ArrayTally.of(b))
-        assert_same_columns(merged.columns(), sorted_columns(added(a, b)))
+        assert_same_columns(merged.columns(),
+                            sorted_columns(added(views(a), views(b))))
 
     def test_links_sharing_a_flat_key_stay_apart(self):
         # alone, 1 -> 0 reads as key 1 * 1 + 0 and 0 -> 1 as 0 * 2 + 1
-        a, b = TrafficTally(), TrafficTally()
-        a.link_visits[(1, 0)] += 1
-        b.link_visits[(0, 1)] += 2
+        a, b = tally_of(links=[(1, 0)]), tally_of(links=[(0, 1)] * 2)
         (src, dst), counts = ArrayTally.of(a).merge(ArrayTally.of(b)).columns()[1]
         assert (src.tolist(), dst.tolist(), counts.tolist()) == (
             [0, 1], [1, 0], [2, 1])
 
-    @pytest.mark.parametrize("name, key", [
-        ("page_visits", -1), ("session_starts", -1), ("link_visits", (0, -1)),
-        ("link_visits", (-1, 0))], ids=["page", "start", "link_dst", "link_src"])
-    def test_negative_key_raises(self, name, key):
-        tally = TrafficTally()
-        tally.page_visits[0] += 1
-        tally.link_visits[(0, 1)] += 1
-        getattr(tally, name)[key] += 1
+    @pytest.mark.parametrize("starts, link", [
+        ([-1], (0, 1)), ([0], (0, -1)), ([0], (-1, 0))],
+        ids=["start", "link_dst", "link_src"])
+    def test_negative_key_raises(self, starts, link):
+        # pages are starts and link ends, so each case also has a negative page
+        tally = tally_of([0, 1] + starts, [(0, 1), link])
         with pytest.raises(DataError, match="tally key -1 is negative"):
             ArrayTally.of(tally)
 
     def test_merge_of_a_negative_key_raises(self):
-        good = TrafficTally()
-        good.link_visits[(0, 1)] += 1
+        good = tally_of([0], [(0, 1)])
         bad = ArrayTally.of(good)
         bad.link_keys = (np.array([0]), np.array([-1]))
         with pytest.raises(DataError, match="tally key -1 is negative"):
             ArrayTally.of(good).merge(bad)
 
     def test_link_keys_too_large_for_one_key_raise(self):
-        tally = TrafficTally()
-        tally.link_visits[(2**62, 2**40)] += 1
+        tally = tally_of(links=[(2**62, 2**40)])
         with pytest.raises(DataError, match="do not fit one int64 key"):
             ArrayTally.of(tally)
 
     def test_string_ids_stay_strings_in_string_order(self):
-        tally = TrafficTally()
-        for page in ("10", "9"):
-            tally.page_visits[page] += 1
-            tally.session_starts[page] += 2
-        tally.link_visits[("9", "10")] += 3
-        tally.link_visits[("10", "9")] += 4
+        tally = tally_of(["9", "10", "10"],
+                         [("9", "10"), ("10", "9"), ("10", "9"), ("10", "9")])
         pages, links, starts = ArrayTally.of(tally).columns()
-        assert pages[0] == (["10", "9"],) and pages[1].tolist() == [1, 1]
+        assert pages[0] == (["10", "9"],) and pages[1].tolist() == [3, 4]
         assert links[0] == (["10", "9"], ["9", "10"])
-        assert links[1].tolist() == [4, 3]
-        assert starts[0] == (["10", "9"],) and starts[1].tolist() == [2, 2]
+        assert links[1].tolist() == [3, 1]
+        assert starts[0] == (["10", "9"],) and starts[1].tolist() == [2, 1]
 
-    @pytest.mark.parametrize("name, keys", [
-        ("page_visits", (1, "a")), ("page_visits", ("a", 1)),
-        ("link_visits", ((0, 1), ("a", "b"))), ("link_visits", (("a", 1),)),
-        ("session_starts", ("10", 9)), ("page_visits", (1.5,))],
+    @pytest.mark.parametrize("starts, links", [
+        ((1,), (("a", "b"),)), (("a",), ((1, 2),)),
+        ((), ((0, 1), ("a", "b"))), ((), (("a", 1),)),
+        (("10", 9), ()), ((1.5,), ())],
         ids=["page_int_first", "page_str_first", "links", "one_link",
              "decimal_start", "float"])
-    def test_ids_not_all_integers_or_all_strings_raise(self, name, keys):
-        tally = TrafficTally()
-        getattr(tally, name).update(keys)
+    def test_ids_not_all_integers_or_all_strings_raise(self, starts, links):
+        tally = tally_of(starts, links)
         with pytest.raises(DataError, match="all integers or all strings"):
             ArrayTally.of(tally)
 
     def test_merge_of_string_ids_raises(self):
-        strings, ints = TrafficTally(), TrafficTally()
-        strings.page_visits["A"] += 1
-        ints.page_visits[0] += 1
+        strings, ints = tally_of(["A"]), tally_of([0])
         for a, b in ((strings, ints), (ints, strings), (strings, strings)):
             with pytest.raises(DataError, match="string ids"):
                 ArrayTally.of(a).merge(ArrayTally.of(b))
@@ -364,9 +369,7 @@ class TestArrayTally:
         assert a == b and a is not b
         b.link_visits[-1] += 1
         assert a != b
-        ints, strings = TrafficTally(), TrafficTally()
-        ints.page_visits[1] += 1
-        strings.page_visits["1"] += 1
+        ints, strings = tally_of([1]), tally_of(["1"])
         assert ArrayTally.of(ints) != ArrayTally.of(strings)
 
 
@@ -385,12 +388,12 @@ class TestSessionCap:
             rec.record(last)
 
 
-def added(*tallies) -> TrafficTally:
-    """One TrafficTally holding the sum of tallies."""
-    total = TrafficTally()
+def added(*tallies) -> tuple:
+    """(pages, links, starts) Counters holding the sum of tallies' counts."""
+    total = (Counter(), Counter(), Counter())
     for tally in tallies:
-        for name in NAMES:
-            getattr(total, name).update(getattr(tally, name))
+        for mine, theirs in zip(total, tally):
+            mine.update(theirs)
     return total
 
 
@@ -403,11 +406,11 @@ tally_dicts = st.tuples(
     st.dictionaries(page_id, count, max_size=30))
 
 
-def traffic(dicts) -> TrafficTally:
-    tally = TrafficTally()
-    for name, counts in zip(NAMES, dicts):
-        getattr(tally, name).update(counts)
-    return tally
+def arrays(dicts) -> ArrayTally:
+    """An ArrayTally of (pages, links, starts) count dicts, rows in key order."""
+    return ArrayTally(*(
+        (tuple(np.array(c, np.int64) for c in columns), np.array(counts, np.int64))
+        for columns, counts in sorted_columns(dicts)))
 
 
 class TestMergeProperty:
@@ -416,9 +419,29 @@ class TestMergeProperty:
     def test_merge_equals_counter_addition(self, a, b, share):
         if share:  # the same keys on both sides, other counts
             b = tuple({k: v + 1 for k, v in mine.items()} for mine in a)
-        a, b = traffic(a), traffic(b)
         expected = sorted_columns(added(a, b))
-        assert_same_columns(
-            ArrayTally.of(a).merge(ArrayTally.of(b)).columns(), expected)
-        assert_same_columns(
-            ArrayTally.of(b).merge(ArrayTally.of(a)).columns(), expected)
+        assert_same_columns(arrays(a).merge(arrays(b)).columns(), expected)
+        assert_same_columns(arrays(b).merge(arrays(a)).columns(), expected)
+
+
+# small ids repeat often; large ones reach past any small-int cache
+tally_id = st.one_of(st.integers(0, 20), st.integers(0, 10**5))
+
+
+class TestCountingProperty:
+    @given(st.lists(tally_id, max_size=40),
+           st.lists(st.tuples(tally_id, tally_id), max_size=40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_sorted_counter_rows(self, starts, links, as_strings):
+        if as_strings:  # a log's ids: the same rows, in string order
+            starts = list(map(str, starts))
+            links = [(str(src), str(dst)) for src, dst in links]
+        expected = sorted_columns((Counter(starts + [dst for _, dst in links]),
+                                   Counter(links), Counter(starts)))
+        got = ArrayTally.of(tally_of(starts, links)).columns()
+        assert_same_columns(got, expected)
+        if starts or links:  # no ids at all give int64 arrays either way
+            for columns, _ in got:
+                for column in columns:
+                    assert (isinstance(column, list) if as_strings
+                            else column.dtype == np.int64)
