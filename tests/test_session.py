@@ -320,7 +320,7 @@ class TestArrayTally:
         ([-1], (0, 1)), ([0], (0, -1)), ([0], (-1, 0))],
         ids=["start", "link_dst", "link_src"])
     def test_negative_key_raises(self, starts, link):
-        # pages are starts and link ends, so each case also has a negative page
+        # a negative id in any column raises, whichever count reads it first
         tally = tally_of([0, 1] + starts, [(0, 1), link])
         with pytest.raises(DataError, match="tally key -1 is negative"):
             ArrayTally.of(tally)
