@@ -30,7 +30,7 @@ from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
 from .session import (ArrayTally, RunResult, SessionRecorder, SessionTable,
                       TrafficTally, column_list, count_clicks, entropy_row,
-                      session_block)
+                      session_block, tallied_requests)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -236,8 +236,9 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                     zipf: ZipfRankTable, export: bool,
                     tally: TrafficTally) -> AgentOutput:
     state = make_agent(agent_id, master_seed, params, zipf)
-    requests = [] if export else None
-    recorder = SessionRecorder(agent_id, tally, requests)
+    recorder = SessionRecorder(agent_id, tally)
+    # where this agent's rows begin: the queue's agents share one tally
+    first_start, first_link = len(tally.starts), len(tally.src)
     step = STEP_FUNCTIONS[model]
     record = recorder.record
     descriptors = []
@@ -258,6 +259,8 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
             keep(closed)
     lines = None
     if export:
+        requests = tallied_requests(tally.starts[first_start:], tally.src[first_link:],
+                                    tally.dst[first_link:], [d.size for d in descriptors])
         lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
                  f"\t{target}\n"
                  for i, (ref, target) in enumerate(requests, start=1)]
@@ -386,11 +389,6 @@ def _write_columns_csv(path, header, columns):
             fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
-def _write_count_csv(path, header, columns, counts):
-    """One row per key: its columns, then its count."""
-    _write_columns_csv(path, header, (*columns, counts))
-
-
 def _write_distribution_csv(path, samples: np.ndarray, ratio=DEFAULT_BIN_RATIO):
     positive = samples[samples >= 1]
     if not positive.size:
@@ -435,9 +433,12 @@ def write_outputs(out_dir, sessions: SessionTable, tally: ArrayTally,
                        ["user_id", "session_index", "root", "size", "depth"],
                        (sessions.user, sessions.index, sessions.root,
                         sessions.size, sessions.depth))
-    _write_count_csv(out / "page_traffic.csv", ["page", "count"], *pages)
-    _write_count_csv(out / "link_traffic.csv", ["src", "dst", "count"], *links)
-    _write_count_csv(out / "empty_referrer_traffic.csv", ["page", "count"], *starts)
+    _write_columns_csv(out / "page_traffic.csv", ["page", "count"],
+                       (*pages[0], pages[1]))
+    _write_columns_csv(out / "link_traffic.csv", ["src", "dst", "count"],
+                       (*links[0], links[1]))
+    _write_columns_csv(out / "empty_referrer_traffic.csv", ["page", "count"],
+                       (*starts[0], starts[1]))
     _write_csv(out / "entropy.csv", ["user_id", "entropy_bits", "tallied_visits"],
                ((user, _fmt(s), visits) for user, s, visits in entropies))
     _write_csv(out / "session_clicks.csv", ["clicks", "count"], lengths.items())

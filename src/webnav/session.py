@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -239,20 +239,31 @@ def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
     return SessionTree(root)
 
 
-def follow(tally: TrafficTally, visits: Counter, tree: SessionTree, src, dst) -> bool:
-    """Apply the click src -> dst to tree; True only on dst's first visit.
+def follow(tally: TrafficTally, visits: Counter, tree: SessionTree, src, dst) -> None:
+    """Apply the click src -> dst to tree.
 
     A first visit grows the tree and tallies the page and the link; a
     page already in the tree is a cache hit and changes nothing. visits
     is the user's visit Counter.
     """
-    if dst in tree.depth:
-        return False
-    tree.add_edge(src, dst)
-    tally.src.append(src)
-    tally.dst.append(dst)
-    visits[dst] = visits.get(dst, 0) + 1
-    return True
+    if dst not in tree.depth:
+        tree.add_edge(src, dst)
+        tally.src.append(src)
+        tally.dst.append(dst)
+        visits[dst] = visits.get(dst, 0) + 1
+
+
+def tallied_requests(starts, src, dst, sizes) -> Iterator[tuple]:
+    """The (referrer, target) requests of sessions, in click order.
+
+    starts, src and dst are the tally columns the sessions appended to,
+    and sizes their sizes, in the same order: a session of size s issued
+    its root (referrer None), then s - 1 first visits.
+    """
+    links = zip(src, dst)
+    for root, size in zip(starts, sizes):
+        yield None, root
+        yield from islice(links, size - 1)
 
 
 def entropy_bits(counts) -> float:
@@ -402,16 +413,15 @@ class SessionRecorder:
     return it, kind one of TELEPORT, FORWARD or BACK, and returns the
     descriptor of the session a teleport just closed (None otherwise), or
     raises UnboundedSessionError on a session's click past
-    MAX_SESSION_CLICKS; close() finishes the last session. requests, when
-    given, is a list that gets one (referrer, target) pair appended for
-    every click a browser would actually issue: session roots (referrer
-    None) and first visits (referrer = the click's source page).
+    MAX_SESSION_CLICKS; close() finishes the last session. The requests
+    a browser would issue are what the tally's columns hold, which
+    tallied_requests reads back.
     """
 
     __slots__ = ("user", "tally", "visits", "tree", "position", "clicks",
-                 "sessions_closed", "requests")
+                 "sessions_closed")
 
-    def __init__(self, user, tally: TrafficTally, requests: list | None = None):
+    def __init__(self, user, tally: TrafficTally):
         self.user = user
         self.tally = tally
         self.visits = Counter()
@@ -419,29 +429,15 @@ class SessionRecorder:
         self.position = None
         self.clicks = 0
         self.sessions_closed = 0
-        self.requests = requests
 
     def record(self, step: tuple) -> SessionDescriptor | None:
         kind, to = step
         tree = self.tree
-        if kind == FORWARD and tree is not None:  # the most common step first
-            clicks = self.clicks + 1
-            if clicks > MAX_SESSION_CLICKS:
-                raise self._unbounded()
-            self.clicks = clicks
-            src = self.position
-            if (follow(self.tally, self.visits, tree, src, to)
-                    and self.requests is not None):
-                self.requests.append((src, to))
-            self.position = to
-            return None
         if kind == TELEPORT:
             closed = self._close_current() if tree is not None else None
             self.tree = open_session(self.tally, self.visits, to)
             self.position = to
             self.clicks = 0
-            if self.requests is not None:
-                self.requests.append((None, to))
             return closed
         if kind != FORWARD and kind != BACK:
             raise ProtocolError(f"unknown outcome kind {kind!r}")
@@ -451,8 +447,10 @@ class SessionRecorder:
         if clicks > MAX_SESSION_CLICKS:
             raise self._unbounded()
         self.clicks = clicks
+        if kind == FORWARD:
+            follow(self.tally, self.visits, tree, self.position, to)
         # back targets were visited this session; cache serves them
-        if to not in tree:
+        elif to not in tree:
             raise ProtocolError(f"back to {to!r}, never visited this session")
         self.position = to
         return None

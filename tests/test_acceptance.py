@@ -25,7 +25,7 @@ run (graph seed 1, run seed 2024, 2 workers):
 
 Two clauses stay asserted and fail; the docs do not settle whether the
 reference parameters should meet them, and the ABC parameter sweep in
-ROADMAP item 5 is where that gets decided:
+ROADMAP item 2 is where that gets decided:
   - criterion 4's "max depth >= 100": the deepest abc session has depth
     29, and it is the 199-page session. With p_b = 0.5 depth moves like a
     reflected random walk, so it grows far slower than size.

@@ -3,7 +3,9 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -407,6 +409,80 @@ class TestAbcOracles:
             new_pages[d.user] += d.size - 1
         for user, bits, _ in result.entropies:
             assert bits <= math.log2(1 + new_pages[user]) + 1e-9, user
+
+
+def pagerank_matrix(graph) -> sp.csr_matrix:
+    """The walk's link matrix: row u is uniform over u's out-links."""
+    degree = np.diff(graph.offsets)
+    rows = np.repeat(np.arange(graph.n), degree)
+    return sp.csr_matrix((1.0 / degree[rows], (rows, graph.neighbors)),
+                         shape=(graph.n, graph.n))
+
+
+def pagerank_vector(links: sp.csr_matrix, damping: float) -> np.ndarray:
+    """The PageRank vector of links by power iteration (Brin & Page 1998)."""
+    n = links.shape[0]
+    back = links.T.tocsr()
+    pi = np.full(n, 1.0 / n)
+    while True:
+        new = (1.0 - damping) / n + damping * (back @ pi)
+        if np.abs(new - pi).sum() < 1e-13:
+            return new
+        pi = new
+
+
+class TestPageRankOracle:
+    """The pagerank walker against the Google matrix at damping 1 - p_t."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        # one walker, 300k steps on a 500-node graph: about 60k sessions
+        graph = generate_scale_free(500, 2, 2.1, seed=4)
+        params = ModelParams()
+        state = make_agent(0, 1, params)
+        steps = 300_000
+        kinds, targets, sources = (np.empty(steps, np.int64) for _ in range(3))
+        for i in range(steps):
+            sources[i] = -1 if state.current is None else state.current
+            kinds[i], targets[i] = pagerank_step(state, graph, params)
+        return graph, params, kinds, targets, sources
+
+    def test_step_targets_follow_the_pagerank_vector(self, walk):
+        # Steps are correlated, so a chi-square over steps fails on correct
+        # code. The sessions between uniform teleports are i.i.d., so each
+        # page's share of steps is a ratio estimator over sessions: page v
+        # has z = (C_v - pi_v N) / sqrt(sum_s (c_sv - pi_v L_s)^2), where
+        # session s holds L_s steps, c_sv of them on v.
+        graph, params, kinds, targets, _ = walk
+        n = graph.n
+        pi = pagerank_vector(pagerank_matrix(graph), 1.0 - params.p_t)
+        end = np.flatnonzero(kinds == TELEPORT)[-1]  # complete sessions only
+        session = np.cumsum(kinds[:end] == TELEPORT) - 1
+        lengths = np.bincount(session).astype(float)
+        keys, c = np.unique(session * n + targets[:end], return_counts=True)
+        s, v = np.divmod(keys, n)
+        visits = np.bincount(v, weights=c, minlength=n)
+        squares = (np.bincount(v, weights=c * c, minlength=n)
+                   - 2 * pi * np.bincount(v, weights=c * lengths[s], minlength=n)
+                   + pi * pi * (lengths * lengths).sum())
+        z = (visits - pi * lengths.sum()) / np.sqrt(squares)
+        # about chi-square on n degrees of freedom: 5 SD above its mean
+        assert (z * z).sum() < n + 5 * math.sqrt(2 * n)
+
+    def test_steps_stay_put_as_the_google_matrix_says(self, walk):
+        # A step stays on its page with chance sum_u pi_u G_uu, which is
+        # p_t / n on a graph without self-links: a teleport may land on the
+        # page it leaves. Each step after the first stays with that chance
+        # whatever came before, so the count is binomial.
+        graph, params, _, targets, sources = walk
+        links = pagerank_matrix(graph)
+        pi = pagerank_vector(links, 1.0 - params.p_t)
+        stay = (params.p_t / graph.n
+                + (1.0 - params.p_t) * (pi * links.diagonal()).sum())
+        trials = targets.size - 1
+        stays = int((targets[1:] == sources[1:]).sum())
+        sd = math.sqrt(trials * stay * (1.0 - stay))
+        assert abs(stays - trials * stay) < 5 * sd
 
 
 class TestDeterminism:

@@ -19,7 +19,7 @@ from webnav.cli import main
 from webnav.errors import ConfigurationError, DataError, UnboundedSessionError
 from webnav.agents import STEP_FUNCTIONS, TELEPORT, ZipfRankTable, make_agent
 from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK, _run_queue,
-                        _write_count_csv, build_config, parse_config_file,
+                        _write_columns_csv, build_config, parse_config_file,
                         partition_agents, write_outputs)
 from webnav.session import (ArrayTally, SessionDescriptor, SessionRecorder,
                             SessionTable, session_block)
@@ -292,7 +292,8 @@ class TestCounterCsv:
             tally.starts.extend(counter.elements())
         pages, links, _ = ArrayTally.of(tally).columns()
         path = tmp_path / "tally.csv"
-        _write_count_csv(path, ["key", "count"], *(links if split_key else pages))
+        keys, counts = links if split_key else pages
+        _write_columns_csv(path, ["key", "count"], (*keys, counts))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         expected = [[str(x) for x in (*k, c)] if split_key else [str(k), str(c)]
@@ -307,7 +308,7 @@ class TestCounterCsv:
         dst = rng.integers(0, 10**6, rows)
         counts = rng.integers(1, 10**9, rows)
         path = tmp_path / "tally.csv"
-        _write_count_csv(path, ["src", "dst", "count"], (src, dst), counts)
+        _write_columns_csv(path, ["src", "dst", "count"], (src, dst, counts))
         expected = tmp_path / "expected.csv"
         with open(expected, "wt", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

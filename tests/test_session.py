@@ -11,7 +11,8 @@ import webnav.session
 from webnav import (BACK, FORWARD, TELEPORT, ModelParams, TrafficTally,
                     entropy_bits, generate_scale_free, make_agent, pagerank_step)
 from webnav.errors import DataError, ProtocolError, UnboundedSessionError
-from webnav.session import ArrayTally, SessionRecorder, follow, open_session
+from webnav.session import (ArrayTally, SessionRecorder, follow, open_session,
+                            tallied_requests)
 
 
 def record_all(outcomes, user="u"):
@@ -100,9 +101,11 @@ class TestCacheKernel:
         tally = TrafficTally()
         visits = Counter()
         tree = open_session(tally, visits, "A")
-        assert follow(tally, visits, tree, "A", "B") is True
-        assert follow(tally, visits, tree, "A", "B") is False  # cache hit
-        assert follow(tally, visits, tree, "B", "A") is False  # the root is cached too
+        follow(tally, visits, tree, "A", "B")
+        assert len(tally.src) == len(tally.dst) == 1
+        follow(tally, visits, tree, "A", "B")  # cache hit
+        follow(tally, visits, tree, "B", "A")  # the root is cached too
+        assert len(tally.src) == len(tally.dst) == 1
         assert (tree.size, tree.max_depth) == (2, 1)
         assert tally.page_visits == {"A": 1, "B": 1}
         assert tally.link_visits == {("A", "B"): 1}
@@ -126,12 +129,11 @@ class TestCacheKernel:
             rec.record(("forward", "A"))
 
     def test_recorder_requests_first_visits_only(self):
-        requests = []
-        rec = SessionRecorder("u", TrafficTally(), requests)
-        for outcome in [(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"),
-                        (FORWARD, "B"), (FORWARD, "C"), (TELEPORT, "A")]:
-            rec.record(outcome)
-        assert requests == [(None, "A"), ("A", "B"), ("B", "C"), (None, "A")]
+        descs, tally = record_all([(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"),
+                                   (FORWARD, "B"), (FORWARD, "C"), (TELEPORT, "A")])
+        requests = tallied_requests(tally.starts, tally.src, tally.dst,
+                                    [d.size for d in descs])
+        assert list(requests) == [(None, "A"), ("A", "B"), ("B", "C"), (None, "A")]
 
 
 class TestEntropy:
@@ -216,6 +218,55 @@ class TestConservation:
         for d in descs:
             assert d.depth <= d.size - 1
             assert d.size >= 1
+
+
+def browse(recorder, steps, page_id):
+    """Feed steps to recorder: (the requests a browser issues, descriptors).
+
+    A step is (kind, n): TELEPORT and FORWARD go to page_id(n), and BACK
+    to the session's visited page number n modulo how many it visited.
+    The requests are built click by click, apart from the tally, as a
+    browser issues them: (None, root) on each teleport, (position, page)
+    on each first visit in a session.
+    """
+    requests, descs, visited = [], [], []
+    for kind, n in steps:
+        page = visited[n % len(visited)] if kind == BACK else page_id(n)
+        if kind == TELEPORT:
+            requests.append((None, page))
+            visited = [page]
+        elif page not in visited:
+            requests.append((recorder.position, page))
+            visited.append(page)
+        closed = recorder.record((kind, page))
+        if closed is not None:
+            descs.append(closed)
+    descs.append(recorder.close())
+    return requests, descs
+
+
+# one user's steps over six pages: a teleport first, then any mix
+step_streams = st.tuples(
+    st.integers(0, 5),
+    st.lists(st.tuples(st.sampled_from((TELEPORT, FORWARD, BACK)),
+                       st.integers(0, 5)), max_size=40),
+).map(lambda first_rest: [(TELEPORT, first_rest[0]), *first_rest[1]])
+
+
+class TestTalliedRequests:
+    @given(st.lists(step_streams, min_size=1, max_size=4), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_requests_each_user_issued(self, streams, strings):
+        # users feed one tally one after another, as a queue's agents do
+        tally = TrafficTally()
+        for user, steps in enumerate(streams):
+            first_start, first_link = len(tally.starts), len(tally.src)
+            expected, descs = browse(SessionRecorder(user, tally), steps,
+                                     str if strings else int)
+            requests = tallied_requests(
+                tally.starts[first_start:], tally.src[first_link:],
+                tally.dst[first_link:], [d.size for d in descs])
+            assert list(requests) == expected
 
 
 @pytest.fixture(scope="module")
