@@ -10,8 +10,8 @@ Kolmogorov-Smirnov distance on all six metrics.
 import tempfile
 from pathlib import Path
 
-from webnav import (RunManifest, SimConfig, compare_runs, format_comparison,
-                    run_ingest, run_simulation)
+from webnav import (SimConfig, compare_runs, format_comparison, run_ingest,
+                    run_simulation)
 
 with tempfile.TemporaryDirectory() as tmp:
     sim_dir = Path(tmp) / "sim"

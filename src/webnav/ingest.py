@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -60,7 +59,8 @@ def _strip_query(url: str) -> str:
 
 
 def _page_like(url: str, extensions: frozenset) -> bool:
-    leaf = url.rsplit("/", 1)[-1]
+    # the extension is the leaf's of the path: a query may hold dots and slashes
+    leaf = _strip_query(url).rsplit("/", 1)[-1]
     dot = leaf.rfind(".")
     if dot <= 0:
         return True  # extensionless paths count as pages
@@ -78,7 +78,8 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
     everything from '?' on is removed from both URLs before they are
     checked: a target that strips to nothing is skipped, and a referrer
     that strips to nothing is missing. With page_extensions, records
-    whose target carries a file extension outside the set are dropped.
+    whose target path (before any '?') ends in a file extension outside
+    the set are dropped.
     """
     if stats is None:
         stats = ParseStats()
@@ -134,7 +135,7 @@ class _LiveSession:
 
 @dataclass
 class _UserState:
-    visits: Counter                                 # page -> tallied visits
+    tally: TrafficTally                             # the user's tallied requests
     last_time: float = -math.inf                    # previous record's timestamp
     next_sid: int = 0
     sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
@@ -147,11 +148,12 @@ class _UserState:
 class Sessionizer:
     """Streaming session reconstruction; memory scales with live sessions.
 
-    tally collects the requests that count toward the page, link and
-    session-start traffic. out_of_order counts records whose timestamp is
-    below that of their user's previous record. Such records are still
-    assigned as usual, but never move their session's last activity
-    backwards. One instance sessionizes one log.
+    tallies maps each user to a TrafficTally of the requests that count
+    toward traffic and entropy; it outlives finish(). out_of_order counts
+    records whose timestamp is below that of their user's previous
+    record. Such records are still assigned as usual, but never move
+    their session's last activity backwards. One instance sessionizes one
+    log.
 
     Raises:
         ConfigurationError: a timeout that is nan or negative.
@@ -162,7 +164,7 @@ class Sessionizer:
         if not self.timeout >= 0:  # nan fails every comparison
             raise ConfigurationError(
                 f"timeout must be a non-negative number of seconds, got {timeout!r}")
-        self.tally = TrafficTally()
+        self.tallies: dict = {}  # user -> TrafficTally
         self.out_of_order = 0
         self._users: dict = {}
 
@@ -170,7 +172,8 @@ class Sessionizer:
         """Assign one record; returns descriptors of the sessions it expired."""
         state = self._users.get(record.user)
         if state is None:
-            state = self._users[record.user] = _UserState(Counter())
+            state = self._users[record.user] = _UserState(
+                self.tallies.setdefault(record.user, TrafficTally()))
         t = record.timestamp
         if t < state.last_time:
             self.out_of_order += 1
@@ -196,14 +199,14 @@ class Sessionizer:
         """Sessionize a whole record stream: feed every record, then finish.
 
         The session table comes sorted by (user, index) whatever the
-        interleaving of users' records; as in simulate, each user's visits
-        become an entropy row and the tally an ArrayTally.
+        interleaving of users' records; as in simulate, each user's tally
+        becomes an entropy row, and the tallies one ArrayTally.
 
         Raises:
             ProtocolError: the instance was already fed, by feed() or an
-                earlier run(); its tally would hold that log's counts too.
+                earlier run(); its tallies would hold that log's requests too.
         """
-        if self.tally.starts:  # a user's first record always opens a session
+        if self.tallies:
             raise ProtocolError("Sessionizer.run needs a fresh instance: "
                                 "this one was already fed")
         descriptors = []
@@ -211,12 +214,12 @@ class Sessionizer:
         feed = self.feed
         for record in records:
             keep(feed(record))
-        users = self._users
-        entropies = [entropy_row(user, users[user].visits) for user in sorted(users)]
         keep(self.finish())
         descriptors.sort()  # (user, index) is unique: no tie reaches the root
+        tallies = self.tallies
+        entropies = [entropy_row(user, tallies[user]) for user in sorted(tallies)]
         return RunResult(SessionTable.from_rows(descriptors),
-                         ArrayTally.of(self.tally), entropies)
+                         ArrayTally.of(*tallies.values()), entropies)
 
     def _expire(self, user, state: _UserState,
                 deadline: float) -> list[SessionDescriptor]:
@@ -261,13 +264,13 @@ class Sessionizer:
             # empty referrer, or one no live session requested: new root
             sid = state.next_sid
             state.next_sid += 1
-            sess = _LiveSession(sid, open_session(self.tally, state.visits, target), t)
+            sess = _LiveSession(sid, open_session(state.tally, target), t)
             state.sessions[sid] = sess
             heapq.heappush(state.expiry_heap, (t, sid))
         else:
             sid = sess.sid
             sess.requests += 1
-            follow(self.tally, state.visits, sess.tree, record.referrer, target)
+            follow(state.tally, sess.tree, record.referrer, target)
             if t > sess.last_activity:
                 sess.last_activity = t
         # re-requests still refresh recency for future attachments

@@ -30,7 +30,7 @@ from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
                       ks_statistic)
 from .session import (ArrayTally, RunResult, SessionRecorder, SessionTable,
                       TrafficTally, column_list, count_clicks, entropy_row,
-                      session_block, tallied_requests)
+                      session_block)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -237,8 +237,6 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                     tally: TrafficTally) -> AgentOutput:
     state = make_agent(agent_id, master_seed, params, zipf)
     recorder = SessionRecorder(agent_id, tally)
-    # where this agent's rows begin: the queue's agents share one tally
-    first_start, first_link = len(tally.starts), len(tally.src)
     step = STEP_FUNCTIONS[model]
     record = recorder.record
     descriptors = []
@@ -259,30 +257,28 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
             keep(closed)
     lines = None
     if export:
-        requests = tallied_requests(tally.starts[first_start:], tally.src[first_link:],
-                                    tally.dst[first_link:], [d.size for d in descriptors])
         lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
                  f"\t{target}\n"
-                 for i, (ref, target) in enumerate(requests, start=1)]
+                 for i, (ref, target) in enumerate(zip(tally.ref, tally.dst), start=1)]
     # one int64 block pickles as a buffer, not as a tuple per session
     return AgentOutput(agent_id=agent_id,
                        sessions=session_block(descriptors),
-                       entropy=entropy_row(agent_id, recorder.visits),
+                       entropy=entropy_row(agent_id, tally),
                        log_lines=lines)
 
 
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                params: ModelParams, master_seed: int, export: bool) -> QueueOutput:
     start = time.perf_counter()
-    tally = TrafficTally()
+    tallies = [TrafficTally() for _ in queue]  # one per agent
     zipf = ZipfRankTable(params.beta)
     agents = [
         _simulate_agent(agent_id, quota, model, graph, params, master_seed,
                         zipf, export, tally)
-        for agent_id, quota in queue
+        for (agent_id, quota), tally in zip(queue, tallies)
     ]
     # the queue's requests, counted once: arrays pickle and merge fast
-    shipped = ArrayTally.of(tally)
+    shipped = ArrayTally.of(*tallies)
     end = time.perf_counter()
     return QueueOutput(agents=agents, tally=shipped, compute_s=end - start,
                        end=end)

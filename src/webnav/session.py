@@ -15,8 +15,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
-from types import MappingProxyType
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -71,49 +70,39 @@ class SessionDescriptor(NamedTuple):
 
 
 class TrafficTally:
-    """The tallied requests of a run, as three append-only columns.
+    """One user's tallied requests in request order, as two append-only columns.
 
-    starts holds each session's root, and src and dst the two ends of
-    each first-visit click, so the pages tallied are starts then dst.
-    Lists, so any hashable pages count, with no graph behind them: the
-    simulator's workers and the log Sessionizer append to one click by
-    click, and ArrayTally.of counts it once. Each user's visit Counter
-    belongs to whoever feeds the tally.
+    ref holds each request's referrer, None for a session root, and dst
+    its target: the session roots and first-visit clicks a browser
+    issues, since back clicks and revisits come from cache. Lists, so
+    any hashable pages count, with no graph behind them. Each user gets
+    their own tally, fed by open_session and follow; ArrayTally.of counts
+    a run's tallies once, entropy_row reads a user's, and an exporting
+    simulation writes its log lines from the columns.
     """
 
-    __slots__ = ("starts", "src", "dst")
+    __slots__ = ("ref", "dst")
 
     def __init__(self):
-        self.starts = []
-        self.src = []
+        self.ref = []
         self.dst = []
 
-    # Read-only Counter views, counted from the columns on each read: for
-    # tests and probes, not for runs.
-
     @property
-    def page_visits(self) -> MappingProxyType:
-        return MappingProxyType(Counter(chain(self.starts, self.dst)))
-
-    @property
-    def link_visits(self) -> MappingProxyType:
-        return MappingProxyType(Counter(zip(self.src, self.dst)))
-
-    @property
-    def session_starts(self) -> MappingProxyType:
-        return MappingProxyType(Counter(self.starts))
+    def page_visits(self) -> Counter:
+        """Requests per page, counted from dst on each read, in first-request order."""
+        return Counter(self.dst)
 
 
 class ArrayTally:
     """Page, link and session-start counts as key columns and int64 counts.
 
     The tally of every RunResult: simulate's workers and the Sessionizer
-    record into a TrafficTally and hand on ArrayTally.of(it). The three
-    pairs are columns() as stored: pages and starts keyed by one column of
-    page ids, links by two (src, dst), rows in key order, with page_visits,
-    link_visits and session_starts their counts. Integer ids are int64
-    arrays with no graph behind them, so any two such tallies merge; a
-    log's string ids are lists, as in SessionTable.
+    record each user into a TrafficTally and hand on ArrayTally.of(*them).
+    The three pairs are columns() as stored: pages and starts keyed by one
+    column of page ids, links by two (src, dst), rows in key order, with
+    page_visits, link_visits and session_starts their counts. Integer ids
+    are int64 arrays with no graph behind them, so any two such tallies
+    merge; a log's string ids are lists, as in SessionTable.
     """
 
     __slots__ = ("page_keys", "page_visits", "link_keys", "link_visits",
@@ -125,34 +114,38 @@ class ArrayTally:
         self.start_keys, self.session_starts = starts
 
     @classmethod
-    def of(cls, tally: TrafficTally) -> "ArrayTally":
-        """The counts of a TrafficTally whose pages are integer or string ids.
+    def of(cls, *tallies: TrafficTally) -> "ArrayTally":
+        """The counts of TrafficTallies whose pages are integer or string ids.
 
-        Pages are counted from starts and dst, links from (src, dst) and
-        starts from starts. Integer ids give int64 key arrays; operator.index
-        refuses a str, so no decimal string id reads as a number. String ids
-        give lists in string order.
+        Pages are counted from dst, starts from the dst of requests whose
+        ref is None, and links from the other (ref, dst) pairs. Integer
+        ids give int64 key arrays; operator.index refuses a str, so no
+        decimal string id reads as a number. String ids give lists in
+        string order.
 
         Raises:
             DataError: a negative page id, link ids too large for one int64
                 key, or ids neither all integers nor all strings.
         """
-        starts, src, dst = tally.starts, tally.src, tally.dst
+        ref = list(chain.from_iterable(tally.ref for tally in tallies))
+        dst = list(chain.from_iterable(tally.dst for tally in tallies))
+        linked = list(map(operator.is_not, ref, repeat(None)))
+        src = list(compress(ref, linked))
         try:
-            starts, src, dst = (
-                np.fromiter(map(operator.index, column), np.int64, len(column))
-                for column in (starts, src, dst))
+            pages, src = (np.fromiter(map(operator.index, column), np.int64, len(column))
+                          for column in (dst, src))
         except TypeError:  # not integers: a log's string ids
-            if set(map(type, chain(starts, src, dst))) != {str}:
+            if set(map(type, chain(dst, src))) != {str}:
                 raise DataError("tally ids must be all integers or all strings") from None
-            return cls(_string_rows(Counter(chain(starts, dst)), 1),
-                       _string_rows(Counter(zip(src, dst)), 2),
-                       _string_rows(Counter(starts), 1))
+            return cls(_string_rows(Counter(dst), 1),
+                       _string_rows(Counter(zip(src, compress(dst, linked))), 2),
+                       _string_rows(Counter(compress(dst, map(operator.not_, linked))), 1))
+        linked = np.array(linked, bool)
         # rows in request order: quicksort beats timsort there
         return cls(*(_summed_rows(columns, np.ones(columns[0].size, np.int64),
                                   "quicksort")
-                     for columns in ((np.concatenate((starts, dst)),),
-                                     (src, dst), (starts,))))
+                     for columns in ((pages,), (src, pages[linked]),
+                                     (pages[~linked],))))
 
     def columns(self) -> tuple:
         """(pages, links, starts), each (key columns, counts), rows in key order."""
@@ -228,42 +221,23 @@ def _summed_rows(columns: tuple, counts: np.ndarray, kind="stable") -> tuple:
     return (np.divmod(key, base) if len(columns) == 2 else (key,)), summed
 
 
-def open_session(tally: TrafficTally, visits: Counter, root) -> SessionTree:
-    """Start a session tree at root and tally its empty-referrer request.
-
-    visits is the user's visit Counter.
-    """
-    tally.starts.append(root)
-    # d[k] = d.get(k, 0) + 1 counts without Counter.__missing__ on new keys
-    visits[root] = visits.get(root, 0) + 1
+def open_session(tally: TrafficTally, root) -> SessionTree:
+    """Start a session tree at root and tally its empty-referrer request."""
+    tally.ref.append(None)
+    tally.dst.append(root)
     return SessionTree(root)
 
 
-def follow(tally: TrafficTally, visits: Counter, tree: SessionTree, src, dst) -> None:
+def follow(tally: TrafficTally, tree: SessionTree, src, dst) -> None:
     """Apply the click src -> dst to tree.
 
-    A first visit grows the tree and tallies the page and the link; a
-    page already in the tree is a cache hit and changes nothing. visits
-    is the user's visit Counter.
+    A first visit grows the tree and tallies the request (src, dst); a
+    page already in the tree is a cache hit and changes nothing.
     """
     if dst not in tree.depth:
         tree.add_edge(src, dst)
-        tally.src.append(src)
+        tally.ref.append(src)
         tally.dst.append(dst)
-        visits[dst] = visits.get(dst, 0) + 1
-
-
-def tallied_requests(starts, src, dst, sizes) -> Iterator[tuple]:
-    """The (referrer, target) requests of sessions, in click order.
-
-    starts, src and dst are the tally columns the sessions appended to,
-    and sizes their sizes, in the same order: a session of size s issued
-    its root (referrer None), then s - 1 first visits.
-    """
-    links = zip(src, dst)
-    for root, size in zip(starts, sizes):
-        yield None, root
-        yield from islice(links, size - 1)
 
 
 def entropy_bits(counts) -> float:
@@ -280,9 +254,9 @@ def entropy_bits(counts) -> float:
     return s
 
 
-def entropy_row(user, visits: Counter) -> tuple:
-    """(user, entropy bits, tallied visits) of one user's visit Counter."""
-    counts = visits.values()
+def entropy_row(user, tally: TrafficTally) -> tuple:
+    """(user, entropy bits, tallied visits) of one user's tally."""
+    counts = tally.page_visits.values()
     return user, entropy_bits(counts), sum(counts)
 
 
@@ -408,23 +382,22 @@ def count_clicks(clicks: np.ndarray) -> dict:
 class SessionRecorder:
     """Builds session trees from (kind, page) steps and feeds a TrafficTally.
 
-    One recorder per user; visits is its user's visit Counter, which
-    entropy_row reads. record() takes a step as the step functions
+    One recorder per user. record() takes a step as the step functions
     return it, kind one of TELEPORT, FORWARD or BACK, and returns the
     descriptor of the session a teleport just closed (None otherwise), or
     raises UnboundedSessionError on a session's click past
     MAX_SESSION_CLICKS; close() finishes the last session. The requests
-    a browser would issue are what the tally's columns hold, which
-    tallied_requests reads back.
+    a browser would issue are appended to the tally's (ref, dst)
+    columns, in click order: given the user's own tally, they are the
+    user's requests, which entropy_row and the export read.
     """
 
-    __slots__ = ("user", "tally", "visits", "tree", "position", "clicks",
+    __slots__ = ("user", "tally", "tree", "position", "clicks",
                  "sessions_closed")
 
     def __init__(self, user, tally: TrafficTally):
         self.user = user
         self.tally = tally
-        self.visits = Counter()
         self.tree = None
         self.position = None
         self.clicks = 0
@@ -435,7 +408,7 @@ class SessionRecorder:
         tree = self.tree
         if kind == TELEPORT:
             closed = self._close_current() if tree is not None else None
-            self.tree = open_session(self.tally, self.visits, to)
+            self.tree = open_session(self.tally, to)
             self.position = to
             self.clicks = 0
             return closed
@@ -448,7 +421,7 @@ class SessionRecorder:
             raise self._unbounded()
         self.clicks = clicks
         if kind == FORWARD:
-            follow(self.tally, self.visits, tree, self.position, to)
+            follow(self.tally, tree, self.position, to)
         # back targets were visited this session; cache serves them
         elif to not in tree:
             raise ProtocolError(f"back to {to!r}, never visited this session")

@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tallies import string_keyed
+from tallies import string_keyed, tally_counts
 from webnav import (ModelParams, SimConfig, TrafficTally, abc_step,
                     entropy_bits, fit_geometric_ratio, fit_power_law,
-                    generate_scale_free, ks_statistic, make_agent, parse_log,
+                    generate_scale_free, make_agent, parse_log,
                     run_simulation, simulate)
 from webnav.agents import BACK, FORWARD, TELEPORT, BookmarkList
 from webnav.ingest import Sessionizer
@@ -360,12 +360,13 @@ def test_criterion_10c_cache_single_count_rule():
     recorder = SessionRecorder("u", tally)
     for _ in range(sessions):
         # the requests this session tallies are what it appends to the columns
-        a, b, c = len(tally.starts), len(tally.dst), len(tally.src)
+        a = len(tally.dst)
         for outcome in _random_session_ops(rng):
             recorder.record(outcome)
         tree = recorder.tree
-        pages = tally.starts[a:] + tally.dst[b:]
-        links = list(zip(tally.src[c:], tally.dst[b:]))
+        pages = tally.dst[a:]
+        links = [(ref, dst) for ref, dst in zip(tally.ref[a:], pages)
+                 if ref is not None]
         assert len(set(pages)) == len(pages) == tree.size
         assert len(set(links)) == len(links) == tree.size - 1
     recorder.close()
@@ -407,9 +408,10 @@ def test_criterion_10e_tally_conservation():
                 descriptors.append(closed)
     descriptors.append(recorder.close())
     total_size = sum(d.size for d in descriptors)
-    assert sum(tally.page_visits.values()) == total_size
-    assert sum(tally.link_visits.values()) == total_size - len(descriptors)
-    assert sum(tally.session_starts.values()) == len(descriptors) == sessions
+    pages, links, starts = tally_counts(tally)
+    assert sum(pages.values()) == total_size
+    assert sum(links.values()) == total_size - len(descriptors)
+    assert sum(starts.values()) == len(descriptors) == sessions
     report(10, "properties/tally-conservation", True,
            f"{sessions} sessions: page total == sum(sizes), link total == "
            f"sum(sizes-1), starts == sessions")

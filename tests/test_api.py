@@ -1,6 +1,9 @@
-"""The public API: the explicit export list, and the names the benchmark probes."""
+"""The public API: the explicit export list, the names the benchmark probes,
+and no unused import."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import webnav
 import webnav.agents
@@ -46,3 +49,50 @@ def test_benchmark_probe_names_exist():
     recorder = webnav.session.SessionRecorder(0, tally)
     recorder.record(step)
     assert tally.page_visits == {step[1]: 1}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _dotted(node) -> str | None:
+    """"a.b.c" of a name or an attribute chain on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id, *reversed(parts)])
+    return None
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports at module level and never reads.
+
+    import a.b counts as read when some expression spells a.b.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {_dotted(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_guard_finds_one():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from itertools import chain, islice\nprint(chain, os.path)\n")
+    assert unused_imports(source) == ["islice"]
+    assert unused_imports("import os.path\nprint(os)\n") == ["os.path"]
+
+
+def test_no_unused_module_imports():
+    # __init__.py imports to re-export
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for folder in ("src/webnav", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if path.name != "__init__.py"
+             for name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from tallies import string_keyed
+from tallies import string_keyed, tally_counts
 from webnav import (ModelParams, SimConfig, TrafficTally, generate_scale_free,
                     parse_log, run_ingest, sessionize, simulate)
 from webnav.errors import ConfigurationError, ProtocolError
@@ -22,7 +22,7 @@ def records(*rows):
 def run_sessionize(recs, timeout=1800):
     worker = Sessionizer(timeout)
     descs = [d for rec in recs for d in worker.feed(rec)]
-    return descs + worker.finish(), worker.tally
+    return descs + worker.finish(), tally_counts(*worker.tallies.values())
 
 
 class TestParseLog:
@@ -96,6 +96,18 @@ class TestParseLog:
         assert [r.target for r in out] == ["http://a/page.html", "http://a/plain"]
         assert stats.filtered == 1
 
+    def test_extension_read_from_the_path_before_the_query(self):
+        stats = ParseStats()
+        lines = [
+            "1\tu\t-\t/a/page.html?id=3\n",
+            "2\tu\t-\t/search/?q=a.b\n",
+            "3\tu\t-\t/img/logo.png?v=2\n",
+        ]
+        out = list(parse_log(lines, page_extensions={"html"}, stats=stats))
+        # the query is kept: only the filter reads the path alone
+        assert [r.target for r in out] == ["/a/page.html?id=3", "/search/?q=a.b"]
+        assert stats.filtered == 1
+
     def test_empty_referrer_markers(self):
         lines = ["1\tu\t-\tx\n", "2\tu\t\ty\n"]
         out = list(parse_log(lines))
@@ -129,10 +141,10 @@ class TestSessionize:
             ("A", 2, 1), ("X", 2, 1)]
 
     def test_unknown_referrer_roots_at_target(self):
-        descs, tally = run_sessionize(records((0, "u", "never-seen", "B")))
+        descs, (_, _, starts) = run_sessionize(records((0, "u", "never-seen", "B")))
         (d,) = descs
         assert (d.root, d.size) == ("B", 1)
-        assert tally.session_starts == {"B": 1}
+        assert starts == {"B": 1}
 
     def test_most_recent_request_wins_across_sessions(self):
         descs, _ = run_sessionize(records(
@@ -150,13 +162,13 @@ class TestSessionize:
         assert sorted((d.root, d.size) for d in descs) == [("A", 2), ("B", 3)]
 
     def test_rerequest_updates_recency_without_new_node(self):
-        descs, tally = run_sessionize(records(
+        descs, (pages, _, _) = run_sessionize(records(
             (0, "u", None, "A"), (1, "u", "A", "B"),
             (1600, "u", "A", "B"),    # cache-consistent re-request
             (3200, "u", "B", "C")))   # only alive because of the re-request
         (d,) = descs
         assert (d.size, d.depth) == (3, 2)
-        assert tally.page_visits["B"] == 1
+        assert pages["B"] == 1
 
     def test_expired_session_cannot_take_clicks(self):
         descs, _ = run_sessionize(records(
@@ -253,10 +265,10 @@ class TestSessionize:
         worker = Sessionizer(timeout=100)
         assert worker.feed(LogRecord(0.0, "u", None, "A")) == []
         worker.feed(LogRecord(1.0, "u", "A", "B"))
-        assert worker.tally.link_visits == {("A", "B"): 1}
+        assert tally_counts(*worker.tallies.values())[1] == {("A", "B"): 1}
         expired = worker.feed(LogRecord(500.0, "u", None, "C"))
         assert [(d.root, d.size) for d in expired] == [("A", 2)]
-        assert worker.tally.session_starts == {"A": 1, "C": 1}
+        assert tally_counts(*worker.tallies.values())[2] == {"A": 1, "C": 1}
 
     def test_every_record_lands_in_exactly_one_session(self):
         recs = records(
@@ -439,14 +451,15 @@ class _ReferenceSessionizer:
 
     def __init__(self, timeout):
         self.timeout = float(timeout)
-        self.tally = TrafficTally()
+        self.tallies = {}
         self.out_of_order = 0
         self._users = {}
 
     def feed(self, record):
         state = self._users.get(record.user)
         if state is None:
-            state = self._users[record.user] = _UserState(Counter())
+            state = self._users[record.user] = _UserState(
+                self.tallies.setdefault(record.user, TrafficTally()))
         if record.timestamp < state.last_time:
             self.out_of_order += 1
         state.last_time = record.timestamp
@@ -498,12 +511,12 @@ class _ReferenceSessionizer:
         if sess is None:
             sid = state.next_sid
             state.next_sid += 1
-            sess = _LiveSession(sid, open_session(self.tally, state.visits, target), t)
+            sess = _LiveSession(sid, open_session(state.tally, target), t)
             state.sessions[sid] = sess
             heapq.heappush(state.expiry_heap, (t, sid))
         else:
             sess.requests += 1
-            follow(self.tally, state.visits, sess.tree, record.referrer, target)
+            follow(state.tally, sess.tree, record.referrer, target)
             if t > sess.last_activity or not self.keeps_newest_activity:
                 sess.last_activity = t
         state.url_index.setdefault(target, {})[sess.sid] = t
@@ -575,15 +588,13 @@ def mix_users(log, rng):
 
 def outputs(worker_type, log):
     worker = worker_type(TIMEOUT)
-    tally = worker.tally
     descs = []
     for rec in log:
         descs.extend(worker.feed(rec))
-    # each user's visit Counter, before finish() drops the user states
-    visits = {user: state.visits for user, state in worker._users.items()}
     descs.extend(worker.finish())
-    return (descs, tally.page_visits, tally.link_visits, tally.session_starts,
-            visits, worker.out_of_order)
+    # each user's requests in request order: what traffic and entropy count
+    requests = {user: (tally.ref, tally.dst) for user, tally in worker.tallies.items()}
+    return descs, requests, worker.out_of_order
 
 
 class TestSessionizerMatchesReference:

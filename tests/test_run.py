@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tallies import tally_of
 from webnav import run as run_module
 from webnav import session as session_module
 from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
@@ -283,13 +284,8 @@ class TestCounterCsv:
     ])
     def test_rows_follow_sorted_items(self, tmp_path, counter):
         split_key = isinstance(next(iter(counter)), tuple)
-        tally = TrafficTally()
-        if split_key:
-            for src, dst in counter.elements():
-                tally.src.append(src)
-                tally.dst.append(dst)
-        else:
-            tally.starts.extend(counter.elements())
+        tally = (tally_of(links=counter.elements()) if split_key
+                 else tally_of(counter.elements()))
         pages, links, _ = ArrayTally.of(tally).columns()
         path = tmp_path / "tally.csv"
         keys, counts = links if split_key else pages

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import webnav.session
+from tallies import tally_counts, tally_of
 from webnav import (BACK, FORWARD, TELEPORT, ModelParams, TrafficTally,
                     entropy_bits, generate_scale_free, make_agent, pagerank_step)
 from webnav.errors import DataError, ProtocolError, UnboundedSessionError
-from webnav.session import (ArrayTally, SessionRecorder, follow, open_session,
-                            tallied_requests)
+from webnav.session import (ArrayTally, SessionRecorder, entropy_row, follow,
+                            open_session)
 
 
 def record_all(outcomes, user="u"):
@@ -32,14 +33,14 @@ class TestSessionTree:
         descs, tally = record_all([(TELEPORT, "A"), (FORWARD, "B"), (FORWARD, "C")])
         (d,) = descs
         assert (d.size, d.depth) == (3, 2)
-        assert tally.link_visits == {("A", "B"): 1, ("B", "C"): 1}
+        assert tally_counts(tally)[1] == {("A", "B"): 1, ("B", "C"): 1}
 
     def test_branch_after_back(self):
         descs, tally = record_all(
             [(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"), (FORWARD, "C")])
         (d,) = descs
         assert (d.size, d.depth) == (3, 1)
-        assert tally.link_visits == {("A", "B"): 1, ("A", "C"): 1}
+        assert tally_counts(tally)[1] == {("A", "B"): 1, ("A", "C"): 1}
 
     def test_revisit_is_cache_hit(self):
         descs, tally = record_all(
@@ -47,7 +48,7 @@ class TestSessionTree:
         (d,) = descs
         assert (d.size, d.depth) == (2, 1)
         assert tally.page_visits["B"] == 1
-        assert tally.link_visits == {("A", "B"): 1}
+        assert tally_counts(tally)[1] == {("A", "B"): 1}
 
     def test_singleton_session(self):
         descs, _ = record_all([(TELEPORT, "A")])
@@ -72,7 +73,7 @@ class TestSessionTree:
             [(TELEPORT, "A"), (FORWARD, "B"), (TELEPORT, "C"), (FORWARD, "D")])
         assert [d.index for d in descs] == [0, 1]
         assert [d.root for d in descs] == ["A", "C"]
-        assert tally.session_starts == {"A": 1, "C": 1}
+        assert tally_counts(tally)[2] == {"A": 1, "C": 1}
 
     def test_clicks_counted_per_session(self):
         descs, _ = record_all(
@@ -99,29 +100,26 @@ class TestSessionTree:
 class TestCacheKernel:
     def test_follow_tallies_first_visit_only(self):
         tally = TrafficTally()
-        visits = Counter()
-        tree = open_session(tally, visits, "A")
-        follow(tally, visits, tree, "A", "B")
-        assert len(tally.src) == len(tally.dst) == 1
-        follow(tally, visits, tree, "A", "B")  # cache hit
-        follow(tally, visits, tree, "B", "A")  # the root is cached too
-        assert len(tally.src) == len(tally.dst) == 1
+        tree = open_session(tally, "A")
+        follow(tally, tree, "A", "B")
+        assert len(tally.ref) == len(tally.dst) == 2
+        follow(tally, tree, "A", "B")  # cache hit
+        follow(tally, tree, "B", "A")  # the root is cached too
+        assert (tally.ref, tally.dst) == ([None, "A"], ["A", "B"])
         assert (tree.size, tree.max_depth) == (2, 1)
-        assert tally.page_visits == {"A": 1, "B": 1}
-        assert tally.link_visits == {("A", "B"): 1}
-        assert tally.session_starts == {"A": 1}
-        assert visits == Counter({"A": 1, "B": 1})
+        assert tally_counts(tally) == ({"A": 1, "B": 1}, {("A", "B"): 1}, {"A": 1})
 
     def test_recorder_counts_into_its_users_vector(self):
-        tally = TrafficTally()
-        a, b = SessionRecorder("a", tally), SessionRecorder("b", tally)
-        assert a.visits == {} and a.visits is not b.visits
+        mine, theirs = TrafficTally(), TrafficTally()
+        a, b = SessionRecorder("a", mine), SessionRecorder("b", theirs)
         for outcome in [(TELEPORT, "A"), (FORWARD, "B"), (TELEPORT, "A")]:
             a.record(outcome)
         b.record((TELEPORT, "B"))
-        assert (a.visits, b.visits) == (Counter({"A": 2, "B": 1}), Counter({"B": 1}))
-        assert tally.page_visits == {"A": 2, "B": 2}
-        assert not hasattr(tally, "per_user_visits")
+        assert (mine.page_visits, theirs.page_visits) == (
+            Counter({"A": 2, "B": 1}), Counter({"B": 1}))
+        assert entropy_row("b", theirs) == ("b", 0.0, 1)
+        assert tally_counts(mine, theirs)[0] == {"A": 2, "B": 2}
+        assert not hasattr(a, "visits")
 
     def test_unknown_kind_rejected(self):
         rec = SessionRecorder("u", TrafficTally())
@@ -129,28 +127,25 @@ class TestCacheKernel:
             rec.record(("forward", "A"))
 
     def test_recorder_requests_first_visits_only(self):
-        descs, tally = record_all([(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"),
-                                   (FORWARD, "B"), (FORWARD, "C"), (TELEPORT, "A")])
-        requests = tallied_requests(tally.starts, tally.src, tally.dst,
-                                    [d.size for d in descs])
-        assert list(requests) == [(None, "A"), ("A", "B"), ("B", "C"), (None, "A")]
+        _, tally = record_all([(TELEPORT, "A"), (FORWARD, "B"), (BACK, "A"),
+                               (FORWARD, "B"), (FORWARD, "C"), (TELEPORT, "A")])
+        assert list(zip(tally.ref, tally.dst)) == [
+            (None, "A"), ("A", "B"), ("B", "C"), (None, "A")]
 
 
 class TestEntropy:
     def test_single_page_zero(self):
         tally = TrafficTally()
-        visits = Counter()
         for _ in range(5):
-            open_session(tally, visits, "A")
-        assert entropy_bits(visits.values()) == 0.0
+            open_session(tally, "A")
+        assert entropy_bits(tally.page_visits.values()) == 0.0
 
     def test_four_equal_pages_two_bits(self):
         tally = TrafficTally()
-        visits = Counter()
-        tree = open_session(tally, visits, "A")
+        tree = open_session(tally, "A")
         for page in "BCD":
-            follow(tally, visits, tree, "A", page)
-        assert entropy_bits(visits.values()) == pytest.approx(2.0)
+            follow(tally, tree, "A", page)
+        assert entropy_bits(tally.page_visits.values()) == pytest.approx(2.0)
 
     def test_three_one_split(self):
         # -0.75 log2 0.75 - 0.25 log2 0.25, evaluated directly
@@ -162,7 +157,7 @@ class TestEntropy:
         # a user who never visited a page has no entropy
         ghost = SessionRecorder("ghost", TrafficTally())
         with pytest.raises(ValueError, match="at least one visit"):
-            entropy_bits(ghost.visits.values())
+            entropy_row("ghost", ghost.tally)
 
     @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=30))
     @settings(max_examples=300)
@@ -207,9 +202,10 @@ class TestConservation:
     @settings(max_examples=400, deadline=None)
     def test_page_and_link_totals_match_sizes(self, ops):
         descs, tally = replay(ops)
-        assert sum(tally.page_visits.values()) == sum(d.size for d in descs)
-        assert sum(tally.link_visits.values()) == sum(d.size - 1 for d in descs)
-        assert sum(tally.session_starts.values()) == len(descs)
+        pages, links, starts = tally_counts(tally)
+        assert sum(pages.values()) == sum(d.size for d in descs)
+        assert sum(links.values()) == sum(d.size - 1 for d in descs)
+        assert sum(starts.values()) == len(descs)
 
     @given(session_strategy)
     @settings(max_examples=400, deadline=None)
@@ -257,16 +253,14 @@ class TestTalliedRequests:
     @given(st.lists(step_streams, min_size=1, max_size=4), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_equal_the_requests_each_user_issued(self, streams, strings):
-        # users feed one tally one after another, as a queue's agents do
+        # users feed one tally one after another: each appends its own
+        # requests, in click order, after the last user's
         tally = TrafficTally()
         for user, steps in enumerate(streams):
-            first_start, first_link = len(tally.starts), len(tally.src)
-            expected, descs = browse(SessionRecorder(user, tally), steps,
-                                     str if strings else int)
-            requests = tallied_requests(
-                tally.starts[first_start:], tally.src[first_link:],
-                tally.dst[first_link:], [d.size for d in descs])
-            assert list(requests) == expected
+            first = len(tally.dst)
+            expected, _ = browse(SessionRecorder(user, tally), steps,
+                                 str if strings else int)
+            assert list(zip(tally.ref[first:], tally.dst[first:])) == expected
 
 
 @pytest.fixture(scope="module")
@@ -286,22 +280,12 @@ def walked_tally(graph, seed=1, steps=3000):
     return tally
 
 
-NAMES = ("page_visits", "link_visits", "session_starts")
-
-
-def tally_of(starts=(), links=()) -> TrafficTally:
-    """A TrafficTally holding the session roots starts and the clicks links."""
-    tally = TrafficTally()
-    tally.starts.extend(starts)
-    for src, dst in links:
-        tally.src.append(src)
-        tally.dst.append(dst)
-    return tally
-
-
 def views(tally: TrafficTally) -> tuple:
-    """(pages, links, starts) Counter views of a TrafficTally."""
-    return tuple(getattr(tally, name) for name in NAMES)
+    """(pages, links, starts) Counters of a TrafficTally, counted without numpy."""
+    requests = list(zip(tally.ref, tally.dst))
+    return (Counter(tally.dst),
+            Counter(request for request in requests if request[0] is not None),
+            Counter(dst for ref, dst in requests if ref is None))
 
 
 def sorted_columns(counts: tuple) -> tuple:
