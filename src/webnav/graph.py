@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, DataError, ParseError
 
@@ -68,13 +66,24 @@ class WebGraph:
         return all((b, a) in fwd for a, b in fwd)
 
 
-def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
-    """Sort directed edges by (src, dst) and build the offset index."""
-    key = src.astype(np.int64) * n + dst
+def _csr_from_keys(n: int, key: np.ndarray, degrees: np.ndarray):
+    """Offsets and neighbors of the directed edges key = src * n + dst.
+
+    degrees[u] counts the edges leaving u. key is sorted in place and
+    becomes the neighbor array, so the build holds no second edge array.
+    """
     key.sort()
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, key % n
+    np.cumsum(degrees, out=offsets[1:])
+    return offsets, np.remainder(key, n, out=key)
+
+
+def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
+    """Sort directed edges by (src, dst) and build the offset index."""
+    key = src.astype(np.int64)  # the one copy; src and dst stay as given
+    key *= n
+    key += dst
+    return _csr_from_keys(n, key, np.bincount(src, minlength=n))
 
 
 # Arrivals evaluated together before the duplicate check, and uniforms drawn
@@ -183,9 +192,19 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
         dst[pos:pos + k] = sorted(chosen)
         pos += k
         i += 1
+    del prefix, uniforms
+    # each undirected link (i, t) is the directed edges i -> t and t -> i;
+    # node i is the source of its own links and of every link that names it
+    degrees = np.bincount(dst, minlength=n)
+    degrees[1:] += links
     src = np.repeat(arrivals, links)
-    offsets, neighbors = _csr_from_edges(n, np.concatenate((src, dst)),
-                                         np.concatenate((dst, src)))
+    del arrivals, links
+    key = np.concatenate((src, dst))
+    key *= n
+    key[:src.size] += dst
+    key[src.size:] += src
+    del src, dst
+    offsets, neighbors = _csr_from_keys(n, key, degrees)
     return WebGraph(n, offsets, neighbors)
 
 
@@ -205,6 +224,10 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
         DataError: no edges, or the largest SCC has fewer than 2 nodes
             (a single node cannot satisfy the no-dangling invariant).
     """
+    # scipy is imported here, its one use: import webnav stays numpy-only
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     src, dst = [], []
     with open(path, "rt", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

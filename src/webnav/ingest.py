@@ -59,8 +59,10 @@ def _strip_query(url: str) -> str:
 
 
 def _page_like(url: str, extensions: frozenset) -> bool:
-    # the extension is the leaf's of the path: a query may hold dots and slashes
-    leaf = _strip_query(url).rsplit("/", 1)[-1]
+    # the extension is the leaf's of the path, the part before the first '?'
+    # or '#': a query or a fragment may hold dots and slashes
+    path = url.split("?", 1)[0].split("#", 1)[0]
+    leaf = path.rsplit("/", 1)[-1]
     dot = leaf.rfind(".")
     if dot <= 0:
         return True  # extensionless paths count as pages
@@ -78,11 +80,13 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
     everything from '?' on is removed from both URLs before they are
     checked: a target that strips to nothing is skipped, and a referrer
     that strips to nothing is missing. With page_extensions, records
-    whose target path (before any '?') ends in a file extension outside
-    the set are dropped.
+    whose target path (before any '?' or '#') ends in a file extension
+    outside the set are dropped. The records share one str object per
+    distinct user or URL.
     """
     if stats is None:
         stats = ParseStats()
+    ids = {}  # each distinct user or URL once, shared by every record naming it
     exts = frozenset(e.lower().lstrip(".") for e in page_extensions) if page_extensions else None
     skipped = stats.skipped_by_reason
     for line in lines:
@@ -111,7 +115,10 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
             stats.filtered += 1
             continue
         stats.parsed += 1
-        yield LogRecord(ts, user, ref, target)
+        if ref is not None:
+            ref = ids.setdefault(ref, ref)
+        yield LogRecord(ts, ids.setdefault(user, user), ref,
+                        ids.setdefault(target, target))
 
 
 def _invalid_field(ts: float) -> str:

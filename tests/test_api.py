@@ -1,8 +1,11 @@
 """The public API: the explicit export list, the names the benchmark probes,
-and no unused import."""
+no unused import, and no scipy on import."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import webnav
@@ -96,3 +99,15 @@ def test_no_unused_module_imports():
              if path.name != "__init__.py"
              for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 33 MB of RSS: only load_edge_list imports it, when
+    # called, and a fit that needs scipy.special must import it in its body
+    code = ("import sys, webnav, webnav.run, webnav.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

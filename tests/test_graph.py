@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,11 +139,26 @@ class TestGenerate:
         n = 40
         src = rng.integers(0, n, 3000)  # 3000 draws of 1600 pairs repeat some
         dst = rng.integers(0, n, 3000)
+        src_before, dst_before = src.copy(), dst.copy()
         offsets, neighbors = _csr_from_edges(n, src, dst)
+        # the build sorts its own key array in place, never its input
+        assert np.array_equal(src, src_before)
+        assert np.array_equal(dst, dst_before)
         ref_offsets, ref_neighbors = _reference_csr(n, src, dst)
         assert np.array_equal(offsets, ref_offsets)
         assert neighbors.dtype == ref_neighbors.dtype
         assert np.array_equal(neighbors, ref_neighbors)
+
+    def test_build_peak_memory(self):
+        # the edge keys are sorted and reduced to neighbors in place, so
+        # the build never holds more than a few edge arrays at once
+        tracemalloc.start()
+        try:
+            g = generate_scale_free(10**5, 3, 2.1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (g.offsets.nbytes + g.neighbors.nbytes)
 
     def test_pickle_round_trip(self, small_graph):
         g = small_graph

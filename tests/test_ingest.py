@@ -108,6 +108,28 @@ class TestParseLog:
         assert [r.target for r in out] == ["/a/page.html?id=3", "/search/?q=a.b"]
         assert stats.filtered == 1
 
+    def test_extension_read_from_the_path_before_the_fragment(self):
+        stats = ParseStats()
+        lines = [
+            "1\tu\t-\t/a/page.html#top\n",
+            "2\tu\t-\t/a/page#sec.png\n",
+            "3\tu\t-\t/a/page.html#x?y.png\n",
+            "4\tu\t-\t/img/logo.png#x\n",
+        ]
+        out = list(parse_log(lines, page_extensions={"html"}, stats=stats))
+        assert [r.target for r in out] == [
+            "/a/page.html#top", "/a/page#sec.png", "/a/page.html#x?y.png"]
+        assert stats.filtered == 1
+
+    def test_equal_ids_share_one_str(self):
+        # ids longer than one character: CPython caches one-character strs
+        lines = ["1\tuser\t-\t/a\n", "2\tuser\t/a\t/b\n", "3\tuser\t/b\t/a\n"]
+        out = list(parse_log(lines))
+        assert [r.target for r in out] == ["/a", "/b", "/a"]
+        assert out[1].referrer is out[0].target
+        assert out[2].user is out[0].user
+        assert out[2].target is out[0].target
+
     def test_empty_referrer_markers(self):
         lines = ["1\tu\t-\tx\n", "2\tu\t\ty\n"]
         out = list(parse_log(lines))
