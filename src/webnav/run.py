@@ -302,8 +302,9 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     """Run the configured model; deterministic for any worker count.
 
     The result's times hold time.queue_compute_s, the slowest queue's
-    compute time, and time.queue_tail_s, from the last queue's end to
-    the merged result (transfer and merge).
+    compute time, time.queue_tail_s, from the last queue's end to the
+    merged result (transfer and merge), and time.merge_s, the part of
+    it spent merging the queues' tallies.
     """
     config.validate()
     if graph is None:
@@ -324,8 +325,11 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
 
     tally = outputs[0].tally
     agent_outputs = list(outputs[0].agents)
+    merge_s = 0.0
     for out in outputs[1:]:
-        tally.merge(out.tally)
+        start = time.perf_counter()
+        tally.merge(out.tally)  # leaves out.tally empty
+        merge_s += time.perf_counter() - start
         agent_outputs.extend(out.agents)
     agent_outputs.sort(key=lambda a: a.agent_id)
 
@@ -340,7 +344,8 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     sessions = SessionTable.from_block(np.concatenate(blocks))
     times = {"time.queue_compute_s": max(out.compute_s for out in outputs),
              "time.queue_tail_s": (time.perf_counter()
-                                   - max(out.end for out in outputs))}
+                                   - max(out.end for out in outputs)),
+             "time.merge_s": merge_s}
     return RunResult(sessions, tally, entropies, log_lines, times)
 
 

@@ -14,8 +14,8 @@ import operator
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, compress, repeat
+from functools import cached_property, partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,31 +31,25 @@ MAX_SESSION_CLICKS = 10**7
 
 
 class SessionTree:
-    """Rooted tree of first-visit clicks within one session."""
+    """Rooted tree of first-visit clicks within one session.
 
-    __slots__ = ("root", "parent", "depth", "max_depth")
+    depth maps each page in the tree to its depth; follow grows it.
+    """
+
+    __slots__ = ("root", "depth", "max_depth")
 
     def __init__(self, root):
         self.root = root
-        self.parent = {}
         self.depth = {root: 0}
         self.max_depth = 0
 
     @property
     def size(self) -> int:
         """Unique pages in the session."""
-        return len(self.parent) + 1
+        return len(self.depth)
 
     def __contains__(self, page) -> bool:
         return page in self.depth
-
-    def add_edge(self, parent, child) -> None:
-        """Attach a first-visit click parent -> child."""
-        d = self.depth[parent] + 1
-        self.parent[child] = parent
-        self.depth[child] = d
-        if d > self.max_depth:
-            self.max_depth = d
 
 
 class SessionDescriptor(NamedTuple):
@@ -99,10 +93,11 @@ class ArrayTally:
     The tally of every RunResult: simulate's workers and the Sessionizer
     record each user into a TrafficTally and hand on ArrayTally.of(*them).
     The three pairs are columns() as stored: pages and starts keyed by one
-    column of page ids, links by two (src, dst), rows in key order, with
-    page_visits, link_visits and session_starts their counts. Integer ids
-    are int64 arrays with no graph behind them, so any two such tallies
-    merge; a log's string ids are lists, as in SessionTable.
+    column of page ids, links by two (src, dst), rows in key order with
+    unique keys, and page_visits, link_visits and session_starts their
+    counts. Integer ids are int64 arrays with no graph behind them, so any
+    two such tallies merge; a log's string ids are lists, as in
+    SessionTable.
     """
 
     __slots__ = ("page_keys", "page_visits", "link_keys", "link_visits",
@@ -118,34 +113,43 @@ class ArrayTally:
         """The counts of TrafficTallies whose pages are integer or string ids.
 
         Pages are counted from dst, starts from the dst of requests whose
-        ref is None, and links from the other (ref, dst) pairs. Integer
-        ids give int64 key arrays; operator.index refuses a str, so no
-        decimal string id reads as a number. String ids give lists in
-        string order.
+        ref is None, and links from the other (ref, dst) pairs. The ids
+        are read from the tallies' columns straight into int64 arrays.
+        Integer ids give int64 key arrays; operator.index refuses a str,
+        so no decimal string id reads as a number. String ids are counted
+        as their codes in one sorted vocabulary, so they give lists of the
+        same strs, in string order.
 
         Raises:
             DataError: a negative page id, link ids too large for one int64
                 key, or ids neither all integers nor all strings.
         """
-        ref = list(chain.from_iterable(tally.ref for tally in tallies))
-        dst = list(chain.from_iterable(tally.dst for tally in tallies))
-        linked = list(map(operator.is_not, ref, repeat(None)))
-        src = list(compress(ref, linked))
+        size = sum(len(tally.dst) for tally in tallies)
+        linked = np.fromiter(map(operator.is_not,
+                                 chain.from_iterable(tally.ref for tally in tallies),
+                                 repeat(None)), bool, size)
+        count = size + int(np.count_nonzero(linked))
+        names = None
         try:
-            pages, src = (np.fromiter(map(operator.index, column), np.int64, len(column))
-                          for column in (dst, src))
+            ids = np.fromiter(map(operator.index, _ids(tallies)), np.int64, count)
         except TypeError:  # not integers: a log's string ids
-            if set(map(type, chain(dst, src))) != {str}:
+            if set(map(type, _ids(tallies))) != {str}:
                 raise DataError("tally ids must be all integers or all strings") from None
-            return cls(_string_rows(Counter(dst), 1),
-                       _string_rows(Counter(zip(src, compress(dst, linked))), 2),
-                       _string_rows(Counter(compress(dst, map(operator.not_, linked))), 1))
-        linked = np.array(linked, bool)
-        # rows in request order: quicksort beats timsort there
-        return cls(*(_summed_rows(columns, np.ones(columns[0].size, np.int64),
-                                  "quicksort")
-                     for columns in ((pages,), (src, pages[linked]),
-                                     (pages[~linked],))))
+            names = sorted(set(_ids(tallies)))
+            code = dict(zip(names, range(len(names))))
+            names = np.array(names, object)
+            ids = np.fromiter(map(code.__getitem__, _ids(tallies)), np.int64, count)
+            del code  # the vocabulary's dict goes before the counting
+        dst, src = ids[:size], ids[size:]
+        links = _counted_rows((src, dst[linked]))
+        starts = _counted_rows((dst[~linked],))
+        pages = _counted_rows((dst,))  # last: sorts dst in place
+        del ids, dst, src, linked
+        rows = (pages, links, starts)
+        if names is not None:  # codes back to the ids they stand for
+            rows = ((tuple(names[column].tolist() for column in columns), counts)
+                    for columns, counts in rows)
+        return cls(*rows)
 
     def columns(self) -> tuple:
         """(pages, links, starts), each (key columns, counts), rows in key order."""
@@ -163,62 +167,158 @@ class ArrayTally:
                    for a, b in zip((*keys, counts), (*other_keys, other_counts)))
 
     def merge(self, other: "ArrayTally") -> "ArrayTally":
-        """Add another tally into this one: equal keys sum their counts.
+        """Move another tally's counts into this one: equal keys sum their counts.
+
+        Both tallies' rows are sorted runs of unique keys, so each of
+        other's rows is placed among this tally's rows by binary search on
+        one int64 key per row, with no concatenation or sort. Pages, links
+        and starts are replaced in turn, and each old pair is released
+        before the next pair is built. other is left an empty tally.
 
         Raises:
-            DataError: either tally has string ids; ingest never merges.
+            DataError: either tally has string ids (ingest never merges), a
+                negative key, link keys too large for one int64 key, or rows
+                out of key order or repeating a key. Every pair is checked
+                before any moves, so neither tally changes then.
         """
-        for keys, _ in chain(self.columns(), other.columns()):
-            if not isinstance(keys[0], np.ndarray):
-                raise DataError("a tally of string ids does not merge")
-        self.__init__(*(
-            _summed_rows(tuple(map(np.concatenate, zip(keys, other_keys))),
-                         np.concatenate((counts, other_counts)))
-            for (keys, counts), (other_keys, other_counts)
-            in zip(self.columns(), other.columns())))
+        if not all(isinstance(keys[0], np.ndarray)
+                   for keys, _ in chain(self.columns(), other.columns())):
+            raise DataError("a tally of string ids does not merge")
+        bases = [_merge_base(keys, other_keys)
+                 for (keys, _), (other_keys, _) in zip(self.columns(), other.columns())]
+        for (key_attr, count_attr), base in zip(_PAIRS, bases):
+            mine = getattr(self, key_attr), getattr(self, count_attr)
+            theirs = getattr(other, key_attr), getattr(other, count_attr)
+            setattr(other, key_attr, (_EMPTY,) * len(theirs[0]))
+            setattr(other, count_attr, _EMPTY)
+            merged_keys, merged_counts = _merged_rows(mine, theirs, base)
+            del mine, theirs
+            setattr(self, key_attr, merged_keys)
+            setattr(self, count_attr, merged_counts)
         return self
 
 
-def _string_rows(counts: Counter, width: int) -> tuple:
-    """(key columns, counts) of a Counter of string keys width ids wide.
+# the (key columns, counts) attribute pairs of an ArrayTally, in columns() order
+_PAIRS = (("page_keys", "page_visits"), ("link_keys", "link_visits"),
+          ("start_keys", "session_starts"))
+_EMPTY = np.zeros(0, np.int64)  # no element to write, so tallies may share it
 
-    Keys are lists in string order.
+
+def _ids(tallies: tuple) -> Iterator:
+    """Every dst of the tallies, then every ref that is not None."""
+    return chain(chain.from_iterable(tally.dst for tally in tallies),
+                 filter(partial(operator.is_not, None),
+                        chain.from_iterable(tally.ref for tally in tallies)))
+
+
+def _key_base(*key_columns: tuple) -> int:
+    """The base that keys each row of these key columns as one int64.
+
+    The columns are all one or all two (src, dst) wide; two read as
+    src * base + dst, base being max dst + 1, and one needs no base.
+
+    Raises:
+        DataError: a negative key, or rows too large for one int64 key.
     """
-    keys = sorted(counts)
-    columns = (tuple([key[i] for key in keys] for i in range(width)) if width > 1
-               else (keys,))
-    return columns, np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
+    for column in chain.from_iterable(key_columns):
+        if column.size and column.min() < 0:
+            raise DataError(f"tally key {int(column.min())} is negative")
+    links = [columns for columns in key_columns
+             if len(columns) == 2 and columns[0].size]
+    if not links:
+        return 1
+    top = max(int(src.max()) for src, _ in links)
+    base = max(int(dst.max()) for _, dst in links) + 1
+    if top * base + base - 1 > np.iinfo(np.int64).max:
+        raise DataError(f"tally keys up to ({top}, {base - 1}) "
+                        "do not fit one int64 key")
+    return base
 
 
-def _summed_rows(columns: tuple, counts: np.ndarray, kind="stable") -> tuple:
-    """Rows of one or two int64 key columns in key order, equal keys summed.
+def _flat_key(columns: tuple, base: int) -> np.ndarray:
+    """One int64 key per row: the one column itself, or src * base + dst."""
+    if len(columns) == 1:
+        return columns[0]
+    src, dst = columns
+    key = src * base
+    key += dst
+    return key
 
-    Each row reads as one int64 key, src * (max dst + 1) + dst for two
-    columns, so one argsort orders them; a stable one sorts merge's
-    concatenated sorted runs in linear time.
+
+def _counted_rows(columns: tuple) -> tuple:
+    """Rows of one or two int64 key columns in key order, each row counted once.
+
+    The columns are spent: the first is turned into the rows' flat keys
+    and sorted in place.
 
     Raises:
         DataError: a negative key, or two columns too large for one key.
     """
-    for column in columns:
-        if column.size and column.min() < 0:
-            raise DataError(f"tally key {int(column.min())} is negative")
-    if not counts.size:
-        return columns, counts
+    base = _key_base(columns)
     key = columns[0]
     if len(columns) == 2:
-        src, dst = columns
-        base = int(dst.max()) + 1
-        if int(src.max()) * base + base - 1 > np.iinfo(np.int64).max:
-            raise DataError(f"tally keys up to ({src.max()}, {base - 1}) "
-                            "do not fit one int64 key")
-        key = src * base + dst
-    order = np.argsort(key, kind=kind)
-    key = key[order]
+        key *= base
+        key += columns[1]
+    if not key.size:
+        return columns, _EMPTY
+    key.sort()
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    summed = np.add.reduceat(counts[order], first)
+    counts = np.diff(first, append=key.size)
     key = key[first]
-    return (np.divmod(key, base) if len(columns) == 2 else (key,)), summed
+    return (np.divmod(key, base) if len(columns) == 2 else (key,)), counts
+
+
+def _merge_base(keys: tuple, other_keys: tuple) -> int:
+    """The _key_base of two tallies' key columns of one pair, rows checked.
+
+    Raises:
+        DataError: a negative key, rows too large for one int64 key, or
+            rows out of key order or repeating a key.
+    """
+    base = _key_base(keys, other_keys)
+    for columns in (keys, other_keys):
+        key = _flat_key(columns, base)
+        if not (key[1:] > key[:-1]).all():
+            raise DataError("tally rows are out of key order or repeat a key")
+    return base
+
+
+def _merged_rows(mine: tuple, theirs: tuple, base: int) -> tuple:
+    """(key columns, counts) of two pairs of sorted unique rows, equal keys summed.
+
+    Each of theirs' rows lands at its searchsorted place among mine's
+    rows, moved on by the new rows of theirs before it; a row whose key
+    mine holds shares that row's slot and adds its count. Mine's rows
+    fill the slots left. Neither pair's arrays are written.
+    """
+    (keys, counts), (other_keys, other_counts) = mine, theirs
+    if not other_counts.size:
+        return mine
+    if not counts.size:
+        return theirs
+    key = _flat_key(keys, base)
+    other_key = _flat_key(other_keys, base)
+    at = np.searchsorted(key, other_key)
+    new = key.take(at, mode="clip") != other_key
+    del key, other_key
+    slot = np.cumsum(new)
+    slot -= new
+    slot += at
+    del at
+    size = counts.size + int(np.count_nonzero(new))
+    kept = np.ones(size, bool)
+    kept[slot] = ~new
+    kept = np.flatnonzero(kept)  # the slots of mine's rows
+    merged = []
+    for column, other_column in zip(keys, other_keys):
+        rows = np.empty(size, np.int64)
+        rows[kept] = column
+        rows[slot] = other_column
+        merged.append(rows)
+    summed = np.zeros(size, np.int64)
+    summed[kept] = counts
+    summed[slot] += other_counts
+    return tuple(merged), summed
 
 
 def open_session(tally: TrafficTally, root) -> SessionTree:
@@ -234,8 +334,12 @@ def follow(tally: TrafficTally, tree: SessionTree, src, dst) -> None:
     A first visit grows the tree and tallies the request (src, dst); a
     page already in the tree is a cache hit and changes nothing.
     """
-    if dst not in tree.depth:
-        tree.add_edge(src, dst)
+    depth = tree.depth
+    if dst not in depth:
+        d = depth[src] + 1
+        depth[dst] = d
+        if d > tree.max_depth:
+            tree.max_depth = d
         tally.ref.append(src)
         tally.dst.append(dst)
 

@@ -381,13 +381,19 @@ def test_criterion_10d_tree_size_depth_relations():
     tally = TrafficTally()
     recorder = SessionRecorder("u", tally)
     for _ in range(sessions):
+        # the session's slice of the tally columns: its root, then its links
+        a = len(tally.dst)
         for outcome in _random_session_ops(rng):
             recorder.record(outcome)
         tree = recorder.tree
-        assert tree.size == len(tree.parent) + 1
+        pages = tally.dst[a:]
+        links = [(ref, dst) for ref, dst in zip(tally.ref[a:], pages)
+                 if ref is not None]
+        assert tree.size == len(pages) == len(links) + 1
+        assert pages[0] == tree.root and set(pages) == tree.depth.keys()
         assert tree.depth[tree.root] == 0
-        for child, parent in tree.parent.items():
-            assert tree.depth[child] == tree.depth[parent] + 1
+        for ref, dst in links:
+            assert tree.depth[dst] == tree.depth[ref] + 1
         assert tree.max_depth == max(tree.depth.values())
         assert tree.max_depth <= tree.size - 1
     recorder.close()

@@ -381,7 +381,7 @@ class TestRunSimulation:
         ingest = run_ingest(out / "requests.log", tmp_path / "ingest")
         keys = list(manifest.values)
         later = ["time.graph_s", "time.queue_compute_s", "time.queue_tail_s",
-                 "clicks_per_s"]
+                 "time.merge_s", "clicks_per_s"]
         at = keys.index("time.write_s")
         assert keys[at + 1:at + 1 + len(later)] == later
         for key in later:
@@ -389,6 +389,11 @@ class TestRunSimulation:
         assert float(manifest["clicks_per_s"]) > 0
         assert (float(manifest["time.queue_compute_s"])
                 <= float(manifest["time.simulate_s"]))
+        # the merge is part of the queue tail; one queue merges nothing
+        assert (float(manifest["time.merge_s"])
+                <= float(manifest["time.queue_tail_s"]))
+        if workers == 1:
+            assert float(manifest["time.merge_s"]) == 0
         keys = list(ingest.values)
         assert keys[keys.index("time.write_s") + 1] == "lines_per_s"
         assert float(ingest["lines_per_s"]) > 0
