@@ -35,5 +35,5 @@ Notes: alice's news and wiki trees grow in parallel; the ?page=2 request
 collapses onto the stripped URL already in the news tree (no new node);
 the click at t=2500 arrives 2430s after the wiki tree's last request, so
 it starts a fresh session instead of attaching.""")
-(pages,), visits = result.tally.columns()[0]  # pages in string order
+(pages,), visits = result.tally.columns()[0]  # URLs, in string order
 print(f"page traffic: {dict(zip(pages, visits.tolist()))}")

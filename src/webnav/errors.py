@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that input decoded."""
 
 
 class WebnavError(Exception):
@@ -45,3 +45,18 @@ class StatisticsError(WebnavError):
 
 class ProtocolError(WebnavError):
     """Operations called out of order (e.g. a click before any session start)."""
+
+
+def not_utf8(line: str) -> bool:
+    """Whether a line read with errors="surrogateescape" held bytes that are not UTF-8.
+
+    Each such byte comes through as a lone surrogate, which strict UTF-8
+    refuses to encode; text that decoded never holds one.
+    """
+    if line.isascii():
+        return False
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParseError
+from .errors import ConfigurationError, DataError, ParseError, not_utf8
 
 
 class WebGraph:
@@ -220,7 +220,8 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     in canonical order.
 
     Raises:
-        ParseError: malformed line (reported with its line number).
+        ParseError: malformed line, or one holding bytes that are not
+            UTF-8, comments too (reported with its line number).
         DataError: no edges, or the largest SCC has fewer than 2 nodes
             (a single node cannot satisfy the no-dangling invariant).
     """
@@ -229,8 +230,10 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     from scipy.sparse.csgraph import connected_components
 
     src, dst = [], []
-    with open(path, "rt", encoding="utf-8") as fh:
+    with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not_utf8(line):  # comments too
+                raise ParseError(f"bytes that are not UTF-8 in {path}", line_no)
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, ProtocolError, not_utf8
 from .session import (ArrayTally, RunResult, SessionDescriptor, SessionTable,
-                      SessionTree, TrafficTally, entropy_row, follow, open_session)
+                      SessionTree, TrafficTally, entropy_row, follow, id_order,
+                      open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
 EMPTY_REFERRER = "-"
@@ -36,8 +37,9 @@ class LogRecord(NamedTuple):
 
 
 # Why parse_log skipped a line, in the order its checks run.
-SKIP_REASONS = ("field_count", "timestamp_not_number", "timestamp_non_finite",
-                "timestamp_negative", "empty_user_or_target")
+SKIP_REASONS = ("not_utf8", "field_count", "timestamp_not_number",
+                "timestamp_non_finite", "timestamp_negative",
+                "empty_user_or_target")
 
 
 @dataclass
@@ -75,8 +77,12 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
 
     Each line holds timestamp, user id, referrer, target separated by
     tabs; '-' (or an empty field) marks a missing referrer. Malformed
-    lines, including non-finite or negative timestamps, are skipped and
-    counted in stats, by reason (SKIP_REASONS). With strip_query,
+    lines, including non-finite or negative timestamps and a user or
+    target that is blank (whitespace only), are skipped and counted in
+    stats, by reason (SKIP_REASONS); so is a line holding bytes that are
+    not UTF-8, which a file opened with errors="surrogateescape" passes
+    on as lone surrogates. Every other field is kept exactly as written,
+    so " u" is not the user "u". With strip_query,
     everything from '?' on is removed from both URLs before they are
     checked: a target that strips to nothing is skipped, and a referrer
     that strips to nothing is missing. With page_extensions, records
@@ -93,6 +99,9 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
         line = line.rstrip("\n")
         if not line:
             continue
+        if not line.isascii() and not_utf8(line):  # no call for plain lines
+            skipped["not_utf8"] += 1
+            continue
         parts = line.split("\t")
         if len(parts) != LOG_FIELD_COUNT:
             skipped["field_count"] += 1
@@ -106,8 +115,8 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
         if strip_query:
             referrer = _strip_query(referrer)
             target = _strip_query(target)
-        if (not math.isfinite(ts) or ts < 0 or not user or not target
-                or target == EMPTY_REFERRER):
+        if (not math.isfinite(ts) or ts < 0 or not user or user.isspace()
+                or not target or target.isspace() or target == EMPTY_REFERRER):
             skipped[_invalid_field(ts)] += 1
             continue
         ref = None if referrer in ("", EMPTY_REFERRER) else referrer
@@ -131,13 +140,12 @@ def _invalid_field(ts: float) -> str:
 class _LiveSession:
     """A session tree under construction plus its recency bookkeeping."""
 
-    __slots__ = ("sid", "tree", "last_activity", "requests")
+    __slots__ = ("sid", "tree", "last_activity")
 
     def __init__(self, sid: int, tree: SessionTree, t: float):
         self.sid = sid
         self.tree = tree
         self.last_activity = t
-        self.requests = 0
 
 
 @dataclass
@@ -153,10 +161,14 @@ class _UserState:
 
 
 class Sessionizer:
-    """Streaming session reconstruction; memory scales with live sessions.
+    """Streaming session reconstruction.
 
     tallies maps each user to a TrafficTally of the requests that count
-    toward traffic and entropy; it outlives finish(). out_of_order counts
+    toward traffic and entropy; it outlives finish(). So memory grows with
+    the log, not only with live sessions: tallies keeps every tallied
+    request until the instance is dropped (about 17 B per line of an
+    exported log, whose ids parse_log shares), besides each user's live
+    sessions and their url index. out_of_order counts
     records whose timestamp is below that of their user's previous
     record. Such records are still assigned as usual, but never move
     their session's last activity backwards. One instance sessionizes one
@@ -193,9 +205,9 @@ class Sessionizer:
         return expired
 
     def finish(self) -> list[SessionDescriptor]:
-        """Close every remaining session, ordered by user id then age."""
+        """Close every remaining session, users in id_order, each by age."""
         closed = []
-        for user in sorted(self._users):
+        for user in id_order(self._users):
             state = self._users[user]
             closed.extend(self._close(user, state, state.sessions[sid])
                           for sid in sorted(state.sessions))
@@ -205,9 +217,10 @@ class Sessionizer:
     def run(self, records: Iterable[LogRecord]) -> RunResult:
         """Sessionize a whole record stream: feed every record, then finish.
 
-        The session table comes sorted by (user, index) whatever the
-        interleaving of users' records; as in simulate, each user's tally
-        becomes an entropy row, and the tallies one ArrayTally.
+        The session table comes sorted by (user, index), users in
+        id_order, whatever the interleaving of users' records; as in
+        simulate, each user's tally becomes an entropy row, in the same
+        user order, and the tallies one ArrayTally.
 
         Raises:
             ProtocolError: the instance was already fed, by feed() or an
@@ -222,9 +235,12 @@ class Sessionizer:
         for record in records:
             keep(feed(record))
         keep(self.finish())
-        descriptors.sort()  # (user, index) is unique: no tie reaches the root
         tallies = self.tallies
-        entropies = [entropy_row(user, tallies[user]) for user in sorted(tallies)]
+        users = id_order(tallies)
+        rank = dict(zip(users, range(len(users))))
+        # stable: each user's sessions close, and so come, in index order
+        descriptors.sort(key=lambda desc: rank[desc.user])
+        entropies = [entropy_row(user, tallies[user]) for user in users]
         return RunResult(SessionTable.from_rows(descriptors),
                          ArrayTally.of(*tallies.values()), entropies)
 
@@ -256,8 +272,7 @@ class Sessionizer:
                 per_url.pop(sess.sid, None)
                 if not per_url:
                     del index[url]
-        desc = SessionDescriptor(user, state.closed, sess.tree.root,
-                                 sess.tree.size, sess.tree.max_depth, sess.requests)
+        desc = sess.tree.descriptor(user, state.closed)
         state.closed += 1
         return desc
 
@@ -276,7 +291,7 @@ class Sessionizer:
             heapq.heappush(state.expiry_heap, (t, sid))
         else:
             sid = sess.sid
-            sess.requests += 1
+            sess.tree.clicks += 1
             follow(state.tally, sess.tree, record.referrer, target)
             if t > sess.last_activity:
                 sess.last_activity = t

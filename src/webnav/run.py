@@ -23,7 +23,7 @@ from . import __version__
 from .agents import (STEP_FUNCTIONS, TELEPORT, ModelParams, ZipfRankTable,
                      make_agent)
 from .errors import (ConfigurationError, DataError, EmptyDataError,
-                     StatisticsError, UnboundedSessionError)
+                     StatisticsError, UnboundedSessionError, not_utf8)
 from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
@@ -86,8 +86,12 @@ class SimConfig:
         if self.sessions_file is None:
             return [self.sessions] * self.n_agents
         quotas = []
-        with open(self.sessions_file, "rt", encoding="utf-8") as fh:
+        with open(self.sessions_file, "rt", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
+                if not_utf8(line):
+                    raise ConfigurationError(
+                        f"{self.sessions_file}:{line_no}: bytes that are not UTF-8")
                 line = line.strip()
                 if not line:
                     continue
@@ -149,8 +153,10 @@ def _parse_bool(raw: str) -> bool:
 def parse_config_file(path) -> dict:
     """Read a flat 'key = value' config file into an option dict."""
     options = {}
-    with open(path, "rt", encoding="utf-8") as fh:
+    with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not_utf8(line):  # comments too
+                raise ConfigurationError(f"{path}:{line_no}: bytes that are not UTF-8")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -582,7 +588,9 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
     started = time.perf_counter()
     stats = ParseStats()
     sessionizer = Sessionizer(timeout)
-    with open(log_path, "rt", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 reach parse_log as lone surrogates: it
+    # counts such a line as records_skipped.not_utf8
+    with open(log_path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         result = sessionizer.run(parse_log(fh, strip_query=strip_query,
                                            page_extensions=page_extensions,
                                            stats=stats))

@@ -34,14 +34,18 @@ class SessionTree:
     """Rooted tree of first-visit clicks within one session.
 
     depth maps each page in the tree to its depth; follow grows it.
+    clicks counts the session's clicks after its root, bumped by its
+    owner: every forward or back step of a SessionRecorder, every request
+    the Sessionizer attaches.
     """
 
-    __slots__ = ("root", "depth", "max_depth")
+    __slots__ = ("root", "depth", "max_depth", "clicks")
 
     def __init__(self, root):
         self.root = root
         self.depth = {root: 0}
         self.max_depth = 0
+        self.clicks = 0
 
     @property
     def size(self) -> int:
@@ -50,6 +54,11 @@ class SessionTree:
 
     def __contains__(self, page) -> bool:
         return page in self.depth
+
+    def descriptor(self, user, index: int) -> "SessionDescriptor":
+        """The closed session's row: session number index of user."""
+        return SessionDescriptor(user, index, self.root, self.size,
+                                 self.max_depth, self.clicks)
 
 
 class SessionDescriptor(NamedTuple):
@@ -61,6 +70,25 @@ class SessionDescriptor(NamedTuple):
     size: int
     depth: int
     clicks: int
+
+
+def id_order(ids) -> list:
+    """The ids in the one order of output rows: integer order for simulated ids.
+
+    A log's string ids come ASCII-decimal first, by value: by length, then
+    string order, so "9" < "10" and "007" stays apart from "7". Every other
+    id follows in string order. So a re-ingested export lists its ids as
+    the simulation does.
+    """
+    ordered = sorted(ids)
+    if ordered and isinstance(ordered[0], str):
+        ordered.sort(key=_decimal_length)  # stable: ties keep string order
+    return ordered
+
+
+def _decimal_length(name: str) -> float:
+    """An ASCII-decimal id's length; inf puts every other id after those."""
+    return len(name) if name.isascii() and name.isdecimal() else math.inf
 
 
 class TrafficTally:
@@ -117,8 +145,8 @@ class ArrayTally:
         are read from the tallies' columns straight into int64 arrays.
         Integer ids give int64 key arrays; operator.index refuses a str,
         so no decimal string id reads as a number. String ids are counted
-        as their codes in one sorted vocabulary, so they give lists of the
-        same strs, in string order.
+        as their codes in one vocabulary in id_order, so they give lists
+        of the same strs, in that order.
 
         Raises:
             DataError: a negative page id, link ids too large for one int64
@@ -135,7 +163,7 @@ class ArrayTally:
         except TypeError:  # not integers: a log's string ids
             if set(map(type, _ids(tallies))) != {str}:
                 raise DataError("tally ids must be all integers or all strings") from None
-            names = sorted(set(_ids(tallies)))
+            names = id_order(set(_ids(tallies)))
             code = dict(zip(names, range(len(names))))
             names = np.array(names, object)
             ids = np.fromiter(map(code.__getitem__, _ids(tallies)), np.int64, count)
@@ -438,9 +466,9 @@ def column_list(column) -> list:
 class RunResult:
     """In-memory outcome of a run, simulated or ingested from a log."""
 
-    descriptors: SessionTable       # sorted by (user, session index)
+    descriptors: SessionTable       # sorted by (user, session index), id_order
     tally: ArrayTally
-    entropies: list         # entropy_row per user, sorted by user
+    entropies: list         # entropy_row per user, users in id_order
     log_lines: list | None = None   # the exported request log, if any
     # manifest-only timings of producing the result: time.<stage>_s -> s
     times: dict = field(default_factory=dict, compare=False)
@@ -496,15 +524,13 @@ class SessionRecorder:
     user's requests, which entropy_row and the export read.
     """
 
-    __slots__ = ("user", "tally", "tree", "position", "clicks",
-                 "sessions_closed")
+    __slots__ = ("user", "tally", "tree", "position", "sessions_closed")
 
     def __init__(self, user, tally: TrafficTally):
         self.user = user
         self.tally = tally
         self.tree = None
         self.position = None
-        self.clicks = 0
         self.sessions_closed = 0
 
     def record(self, step: tuple) -> SessionDescriptor | None:
@@ -514,16 +540,15 @@ class SessionRecorder:
             closed = self._close_current() if tree is not None else None
             self.tree = open_session(self.tally, to)
             self.position = to
-            self.clicks = 0
             return closed
         if kind != FORWARD and kind != BACK:
             raise ProtocolError(f"unknown outcome kind {kind!r}")
         if tree is None:
             raise ProtocolError(f"{KIND_NAMES[kind]} step before any session start")
-        clicks = self.clicks + 1
+        clicks = tree.clicks + 1
         if clicks > MAX_SESSION_CLICKS:
             raise self._unbounded()
-        self.clicks = clicks
+        tree.clicks = clicks
         if kind == FORWARD:
             follow(self.tally, tree, self.position, to)
         # back targets were visited this session; cache serves them
@@ -547,8 +572,6 @@ class SessionRecorder:
             f"{MAX_SESSION_CLICKS} clicks")
 
     def _close_current(self) -> SessionDescriptor:
-        tree = self.tree
-        desc = SessionDescriptor(self.user, self.sessions_closed, tree.root,
-                                 tree.size, tree.max_depth, self.clicks)
+        desc = self.tree.descriptor(self.user, self.sessions_closed)
         self.sessions_closed += 1
         return desc

@@ -3,17 +3,28 @@
 from webnav.session import ArrayTally, TrafficTally, column_list
 
 
-def string_keyed(tally) -> tuple:
-    """A tally's (pages, links, starts) as dicts keyed by string ids.
+def str_columns(tally) -> tuple:
+    """A tally's columns() as lists, rows in stored order, ids as strs.
 
     A simulated tally keys pages by int id, an ingested one by the log's
-    strings; the two pipelines agree when these dicts are equal. A page
-    key is a 1-tuple, a link key a (src, dst) pair.
+    strings; a re-ingested export writes the simulation's rows when these
+    are equal.
     """
     return tuple(
-        dict(zip(zip(*(map(str, column_list(c)) for c in columns)),
-                 counts.tolist()))
+        ([[str(x) for x in column_list(c)] for c in columns], counts.tolist())
         for columns, counts in tally.columns())
+
+
+def id_key(page):
+    """The order of session.id_order, spelled out as a sort key.
+
+    Integers as they are; strings ASCII-decimal first, by length and then
+    string order, then every other string in string order.
+    """
+    if isinstance(page, int):
+        return page
+    decimal = page.isascii() and page.isdecimal()
+    return not decimal, len(page) if decimal else 0, page
 
 
 def tally_counts(*tallies: TrafficTally) -> tuple:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tallies import tally_of
+from tallies import id_key, tally_of
 from webnav import run as run_module
 from webnav import session as session_module
 from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
@@ -292,8 +292,11 @@ class TestCounterCsv:
         _write_columns_csv(path, ["key", "count"], (*keys, counts))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
+        # rows in id order: "9" before "10", then the other strings
+        rows_in_order = sorted(counter.items(), key=lambda item: (
+            tuple(map(id_key, item[0])) if split_key else id_key(item[0])))
         expected = [[str(x) for x in (*k, c)] if split_key else [str(k), str(c)]
-                    for k, c in sorted(counter.items())]
+                    for k, c in rows_in_order]
         assert rows == expected
 
     @pytest.mark.parametrize("rows", [0, 1, 49, 50])
@@ -484,6 +487,35 @@ class TestCli:
         log = tmp_path / "empty.log"
         log.write_text("")
         assert main(["ingest", str(log), "--out", str(tmp_path / "x")]) == 4
+
+    def test_log_line_not_utf8_is_skipped_and_counted(self, tmp_path, capsys):
+        log = tmp_path / "requests.log"
+        log.write_bytes(b"1\tu\t-\t/a\n2\tu\t/a\t/b\xe9\n3\tu\t/a\t/c\n")
+        assert main(["ingest", str(log), "--out", str(tmp_path / "x")]) == 0
+        manifest = RunManifest.load(tmp_path / "x" / "run_manifest.txt")
+        assert (manifest["records_parsed"], manifest["records_skipped"],
+                manifest["records_skipped.not_utf8"]) == ("2", "1", "1")
+        assert (tmp_path / "x" / "page_traffic.csv").read_text() == (
+            "page,count\n/a,1\n/c,1\n")
+        assert capsys.readouterr().err == ""
+
+    # a byte that is not UTF-8, in a comment line where the format has one
+    @pytest.mark.parametrize("flag, text, code, message", [
+        ("--graph", b"0 1\n# caf\xe9\n1 0\n", 3,
+         "line 2: bytes that are not UTF-8 in {path}"),
+        ("--config", b"model = abc\n# caf\xe9\n", 2,
+         "{path}:2: bytes that are not UTF-8"),
+        ("--sessions-file", b"5\n\xe9\n", 2, "{path}:2: bytes that are not UTF-8"),
+    ], ids=["graph", "config", "sessions_file"])
+    def test_input_file_not_utf8_exits_cleanly(self, tmp_path, capsys, flag, text,
+                                               code, message):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text)
+        assert main(["simulate", flag, str(path), "--agents", "2", "--n", "300",
+                     "--out", str(tmp_path / "x")]) == code
+        # one line, no traceback
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_ingest_and_compare_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "sim"

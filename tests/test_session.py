@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import webnav.session
-from tallies import tally_counts, tally_of
+from tallies import id_key, tally_counts, tally_of
 from webnav import (BACK, FORWARD, TELEPORT, ModelParams, TrafficTally,
                     entropy_bits, generate_scale_free, make_agent, pagerank_step)
 from webnav.errors import DataError, ProtocolError, UnboundedSessionError
 from webnav.session import (ArrayTally, SessionRecorder, entropy_row, follow,
-                            open_session)
+                            id_order, open_session)
 
 
 def record_all(outcomes, user="u"):
@@ -373,14 +373,15 @@ class TestArrayTally:
         with pytest.raises(DataError, match="do not fit one int64 key"):
             ArrayTally.of(tally)
 
-    def test_string_ids_stay_strings_in_string_order(self):
+    def test_string_ids_stay_strings_in_id_order(self):
+        # decimal "9" before "10", as the simulation writes 9 before 10
         tally = tally_of(["9", "10", "10"],
                          [("9", "10"), ("10", "9"), ("10", "9"), ("10", "9")])
         pages, links, starts = ArrayTally.of(tally).columns()
-        assert pages[0] == (["10", "9"],) and pages[1].tolist() == [3, 4]
-        assert links[0] == (["10", "9"], ["9", "10"])
-        assert links[1].tolist() == [3, 1]
-        assert starts[0] == (["10", "9"],) and starts[1].tolist() == [2, 1]
+        assert pages[0] == (["9", "10"],) and pages[1].tolist() == [4, 3]
+        assert links[0] == (["9", "10"], ["10", "9"])
+        assert links[1].tolist() == [1, 3]
+        assert starts[0] == (["9", "10"],) and starts[1].tolist() == [1, 2]
 
     @pytest.mark.parametrize("starts, links", [
         ((1,), (("a", "b"),)), (("a",), ((1, 2),)),
@@ -409,6 +410,27 @@ class TestArrayTally:
         assert ArrayTally.of(ints) != ArrayTally.of(strings)
 
 
+class TestIdOrder:
+    def test_decimal_ids_by_value_then_the_rest_in_string_order(self):
+        ids = {"b", "10", "9", "a", "007", "7", "", "10a", "\u0663"}
+        assert id_order(ids) == ["7", "9", "10", "007", "", "10a", "a", "b", "\u0663"]
+
+    def test_integer_ids_in_integer_order(self):
+        assert id_order([10, 9, 100, 0]) == [0, 9, 10, 100]
+
+    @given(st.lists(st.integers(0, 10**12)))
+    @settings(max_examples=200)
+    def test_decimal_strings_of_integers_keep_their_order(self, ids):
+        # a re-ingested export's ids come back in the simulation's order
+        assert id_order(map(str, ids)) == [str(i) for i in sorted(ids)]
+
+    @given(st.lists(st.one_of(st.text(max_size=4),
+                              st.text("0123456789", min_size=1, max_size=4))))
+    @settings(max_examples=200)
+    def test_equals_the_spelled_out_key(self, ids):
+        assert id_order(ids) == sorted(ids, key=id_key)
+
+
 class TestSessionCap:
     @pytest.mark.parametrize("last", [(FORWARD, 5), (BACK, 2)],
                              ids=["forward", "back"])
@@ -418,7 +440,7 @@ class TestSessionCap:
         for step in ((TELEPORT, 0), (FORWARD, 1), (TELEPORT, 2), (FORWARD, 3),
                      (BACK, 2), (FORWARD, 4)):
             rec.record(step)
-        assert rec.clicks == 3
+        assert rec.tree.clicks == 3
         with pytest.raises(UnboundedSessionError,
                            match="agent 7 session 1 passed 3 clicks"):
             rec.record(last)
@@ -552,11 +574,13 @@ class TestCountingProperty:
            st.lists(st.tuples(tally_id, tally_id), max_size=40), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_counts_equal_sorted_counter_rows(self, starts, links, as_strings):
-        if as_strings:  # a log's ids: the same rows, in string order
-            starts = list(map(str, starts))
-            links = [(str(src), str(dst)) for src, dst in links]
         expected = sorted_columns((Counter(starts + [dst for _, dst in links]),
                                    Counter(links), Counter(starts)))
+        if as_strings:  # a log's ids: the integer rows as strs, in their order
+            starts = list(map(str, starts))
+            links = [(str(src), str(dst)) for src, dst in links]
+            expected = [([list(map(str, c)) for c in columns], counts)
+                        for columns, counts in expected]
         got = ArrayTally.of(tally_of(starts, links)).columns()
         assert_same_columns(got, expected)
         if starts or links:  # no ids at all give int64 arrays either way
