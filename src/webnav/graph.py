@@ -145,8 +145,8 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
         n: number of nodes, >= m + 1.
         m: undirected links added per arriving node, >= 1.
         gamma: target degree exponent, finite and > 2.
-        seed: RNG seed; the same (n, m, gamma, seed) rebuilds the graph
-            bit-identically.
+        seed: RNG seed, >= 0; the same (n, m, gamma, seed) rebuilds the
+            graph bit-identically.
     """
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
@@ -154,6 +154,8 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
         raise ConfigurationError(f"need n >= m + 1, got n={n}, m={m}")
     if not 2 < gamma < math.inf:
         raise ConfigurationError(f"gamma must be finite and exceed 2, got {gamma}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     a = 1.0 / (gamma - 1.0)
     # prefix[j] = sum of R^-a for ranks R = 1..j+1; when i nodes exist the
     # total attachment weight is prefix[i-1], and rank R maps to node R-1.
@@ -211,17 +213,18 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
 def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     """Load a directed edge list and keep its largest strongly connected component.
 
-    The file holds one edge per line as two base-10 unsigned integers
-    separated by a single space; '#'-prefixed lines are comments. With
-    symmetrize set, the reverse of every edge is inserted before the SCC
-    extraction. Surviving node ids are re-densified to [0, N) preserving
-    their original order, which makes write_edge_list(load_edge_list(p))
-    a byte-identical round trip for files that are already one dense SCC
-    in canonical order.
+    The file holds one edge per line as two base-10 unsigned integers in
+    ASCII digits, below 2**63, separated by a single space; '#'-prefixed
+    lines are comments. With symmetrize set, the reverse of every edge is
+    inserted before the SCC extraction. Surviving node ids are
+    re-densified to [0, N) preserving their original order, which makes
+    write_edge_list(load_edge_list(p)) a byte-identical round trip for
+    files that are already one dense SCC in canonical order.
 
     Raises:
-        ParseError: malformed line, or one holding bytes that are not
-            UTF-8, comments too (reported with its line number).
+        ParseError: malformed line, an id that is not ASCII digits or not
+            below 2**63, or a line holding bytes that are not UTF-8,
+            comments too (reported with its line number).
         DataError: no edges, or the largest SCC has fewer than 2 nodes
             (a single node cannot satisfy the no-dangling invariant).
     """
@@ -240,12 +243,13 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ParseError(f"expected 'src dst', got {line!r}", line_no)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer node id in {line!r}", line_no) from None
-            if u < 0 or v < 0:
-                raise ParseError(f"negative node id in {line!r}", line_no)
+            # int() also reads "+2", "2_0" and non-ASCII digits
+            if not all(part.isascii() and part.isdigit() for part in parts):
+                raise ParseError(f"node id not a base-10 unsigned integer in {line!r}",
+                                 line_no)
+            u, v = int(parts[0]), int(parts[1])
+            if max(u, v) >= 1 << 63:  # ids go into int64 arrays
+                raise ParseError(f"node id not below 2**63 in {line!r}", line_no)
             src.append(u)
             dst.append(v)
     if not src:

@@ -26,11 +26,9 @@ from .errors import (ConfigurationError, DataError, EmptyDataError,
                      StatisticsError, UnboundedSessionError, not_utf8)
 from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
-from .metrics import (DEFAULT_BIN_RATIO, fit_power_law, histogram,
-                      ks_statistic)
+from .metrics import fit_power_law, histogram, ks_statistic
 from .session import (ArrayTally, RunResult, SessionRecorder, SessionTable,
-                      TrafficTally, column_list, count_clicks, entropy_row,
-                      session_block)
+                      TrafficTally, column_list, count_clicks, entropy_row)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -224,7 +222,7 @@ def partition_agents(quotas: list[int], n_queues: int) -> list[list[int]]:
 @dataclass
 class AgentOutput:
     agent_id: int
-    sessions: np.ndarray    # session_block of the agent's descriptors
+    sessions: SessionTable  # the agent's descriptors
     entropy: tuple          # entropy_row of the agent
     log_lines: list | None
 
@@ -266,9 +264,9 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
         lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
                  f"\t{target}\n"
                  for i, (ref, target) in enumerate(zip(tally.ref, tally.dst), start=1)]
-    # one int64 block pickles as a buffer, not as a tuple per session
+    # int64 columns pickle as buffers, not as a tuple per session
     return AgentOutput(agent_id=agent_id,
-                       sessions=session_block(descriptors),
+                       sessions=SessionTable.from_rows(descriptors),
                        entropy=entropy_row(agent_id, tally),
                        log_lines=lines)
 
@@ -339,15 +337,14 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
         agent_outputs.extend(out.agents)
     agent_outputs.sort(key=lambda a: a.agent_id)
 
-    blocks = []
     entropies = []
     log_lines = [] if config.export_log else None
     for agent in agent_outputs:
-        blocks.append(agent.sessions)
         entropies.append(agent.entropy)
         if config.export_log:
             log_lines.extend(agent.log_lines)
-    sessions = SessionTable.from_block(np.concatenate(blocks))
+    sessions = SessionTable(*map(np.concatenate, zip(
+        *(agent.sessions.columns for agent in agent_outputs))))
     times = {"time.queue_compute_s": max(out.compute_s for out in outputs),
              "time.queue_tail_s": (time.perf_counter()
                                    - max(out.end for out in outputs)),
@@ -396,12 +393,12 @@ def _write_columns_csv(path, header, columns):
             fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
-def _write_distribution_csv(path, samples: np.ndarray, ratio=DEFAULT_BIN_RATIO):
+def _write_distribution_csv(path, samples: np.ndarray):
     positive = samples[samples >= 1]
     if not positive.size:
         _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], [])
         return
-    hist = histogram(positive, ratio)
+    hist = histogram(positive)
     rows = [(_fmt(lo), _fmt(hi), count, _fmt(dens))
             for lo, hi, count, dens in hist.rows()]
     _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], rows)
@@ -502,8 +499,10 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         values = {}
-        with open(path, "rt", encoding="utf-8") as fh:
-            for line in fh:
+        with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not_utf8(line):
+                    raise ConfigurationError(f"{path}:{line_no}: bytes that are not UTF-8")
                 line = line.strip()
                 if not line or "=" not in line:
                     continue

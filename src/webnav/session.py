@@ -123,9 +123,9 @@ class ArrayTally:
     The three pairs are columns() as stored: pages and starts keyed by one
     column of page ids, links by two (src, dst), rows in key order with
     unique keys, and page_visits, link_visits and session_starts their
-    counts. Integer ids are int64 arrays with no graph behind them, so any
-    two such tallies merge; a log's string ids are lists, as in
-    SessionTable.
+    counts. Integer ids are int64 arrays in [0, 2**31) with no graph
+    behind them, so any two such tallies merge; a log's string ids are
+    lists, as in SessionTable.
     """
 
     __slots__ = ("page_keys", "page_visits", "link_keys", "link_visits",
@@ -146,11 +146,12 @@ class ArrayTally:
         Integer ids give int64 key arrays; operator.index refuses a str,
         so no decimal string id reads as a number. String ids are counted
         as their codes in one vocabulary in id_order, so they give lists
-        of the same strs, in that order.
+        of the same strs, in that order. Each row is counted by one int64
+        key of fixed width: a page or start its id, a link src << 31 | dst.
 
         Raises:
-            DataError: a negative page id, link ids too large for one int64
-                key, or ids neither all integers nor all strings.
+            DataError: an integer id outside [0, 2**31), or ids neither all
+                integers nor all strings.
         """
         size = sum(len(tally.dst) for tally in tallies)
         linked = np.fromiter(map(operator.is_not,
@@ -160,6 +161,9 @@ class ArrayTally:
         names = None
         try:
             ids = np.fromiter(map(operator.index, _ids(tallies)), np.int64, count)
+            _check_ids(ids)
+        except OverflowError:
+            raise DataError("tally ids must lie in [0, 2**31)") from None
         except TypeError:  # not integers: a log's string ids
             if set(map(type, _ids(tallies))) != {str}:
                 raise DataError("tally ids must be all integers or all strings") from None
@@ -199,27 +203,30 @@ class ArrayTally:
 
         Both tallies' rows are sorted runs of unique keys, so each of
         other's rows is placed among this tally's rows by binary search on
-        one int64 key per row, with no concatenation or sort. Pages, links
-        and starts are replaced in turn, and each old pair is released
-        before the next pair is built. other is left an empty tally.
+        its one int64 key, as of counts them (a link src << 31 | dst), with
+        no concatenation or sort. Pages, links and starts are replaced in
+        turn, and each old pair is released before the next pair is built.
+        other is left an empty tally.
 
         Raises:
             DataError: either tally has string ids (ingest never merges), a
-                negative key, link keys too large for one int64 key, or rows
-                out of key order or repeating a key. Every pair is checked
-                before any moves, so neither tally changes then.
+                key outside [0, 2**31), or rows out of key order or repeating
+                a key. Every pair is checked before any moves, so neither
+                tally changes then.
         """
-        if not all(isinstance(keys[0], np.ndarray)
-                   for keys, _ in chain(self.columns(), other.columns())):
-            raise DataError("a tally of string ids does not merge")
-        bases = [_merge_base(keys, other_keys)
-                 for (keys, _), (other_keys, _) in zip(self.columns(), other.columns())]
-        for (key_attr, count_attr), base in zip(_PAIRS, bases):
+        for keys, _ in chain(self.columns(), other.columns()):
+            if not isinstance(keys[0], np.ndarray):
+                raise DataError("a tally of string ids does not merge")
+            _check_ids(*keys)
+            key = _flat_key(keys)
+            if not (key[1:] > key[:-1]).all():
+                raise DataError("tally rows are out of key order or repeat a key")
+        for key_attr, count_attr in _PAIRS:
             mine = getattr(self, key_attr), getattr(self, count_attr)
             theirs = getattr(other, key_attr), getattr(other, count_attr)
             setattr(other, key_attr, (_EMPTY,) * len(theirs[0]))
             setattr(other, count_attr, _EMPTY)
-            merged_keys, merged_counts = _merged_rows(mine, theirs, base)
+            merged_keys, merged_counts = _merged_rows(mine, theirs)
             del mine, theirs
             setattr(self, key_attr, merged_keys)
             setattr(self, count_attr, merged_counts)
@@ -239,37 +246,27 @@ def _ids(tallies: tuple) -> Iterator:
                         chain.from_iterable(tally.ref for tally in tallies)))
 
 
-def _key_base(*key_columns: tuple) -> int:
-    """The base that keys each row of these key columns as one int64.
+# a link's key is src << _SHIFT | dst, so every id lies below _ID_BOUND
+_SHIFT = 31
+_ID_BOUND = 1 << _SHIFT
 
-    The columns are all one or all two (src, dst) wide; two read as
-    src * base + dst, base being max dst + 1, and one needs no base.
 
-    Raises:
-        DataError: a negative key, or rows too large for one int64 key.
-    """
-    for column in chain.from_iterable(key_columns):
-        if column.size and column.min() < 0:
+def _check_ids(*columns: np.ndarray) -> None:
+    """Raise DataError unless every id of the int64 columns lies in [0, 2**31)."""
+    for column in filter(len, columns):
+        if column.min() < 0:
             raise DataError(f"tally key {int(column.min())} is negative")
-    links = [columns for columns in key_columns
-             if len(columns) == 2 and columns[0].size]
-    if not links:
-        return 1
-    top = max(int(src.max()) for src, _ in links)
-    base = max(int(dst.max()) for _, dst in links) + 1
-    if top * base + base - 1 > np.iinfo(np.int64).max:
-        raise DataError(f"tally keys up to ({top}, {base - 1}) "
-                        "do not fit one int64 key")
-    return base
+        if column.max() >= _ID_BOUND:
+            raise DataError(f"tally key {int(column.max())} is not below 2**31")
 
 
-def _flat_key(columns: tuple, base: int) -> np.ndarray:
-    """One int64 key per row: the one column itself, or src * base + dst."""
+def _flat_key(columns: tuple) -> np.ndarray:
+    """One int64 key per row: the one column itself, or src << 31 | dst."""
     if len(columns) == 1:
         return columns[0]
     src, dst = columns
-    key = src * base
-    key += dst
+    key = src << _SHIFT
+    key |= dst
     return key
 
 
@@ -277,41 +274,26 @@ def _counted_rows(columns: tuple) -> tuple:
     """Rows of one or two int64 key columns in key order, each row counted once.
 
     The columns are spent: the first is turned into the rows' flat keys
-    and sorted in place.
-
-    Raises:
-        DataError: a negative key, or two columns too large for one key.
+    and sorted in place. Their ids lie in [0, 2**31).
     """
-    base = _key_base(columns)
     key = columns[0]
     if len(columns) == 2:
-        key *= base
-        key += columns[1]
+        key <<= _SHIFT
+        key |= columns[1]
     if not key.size:
         return columns, _EMPTY
     key.sort()
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     counts = np.diff(first, append=key.size)
     key = key[first]
-    return (np.divmod(key, base) if len(columns) == 2 else (key,)), counts
+    if len(columns) == 1:
+        return (key,), counts
+    dst = key & (_ID_BOUND - 1)
+    key >>= _SHIFT
+    return (key, dst), counts
 
 
-def _merge_base(keys: tuple, other_keys: tuple) -> int:
-    """The _key_base of two tallies' key columns of one pair, rows checked.
-
-    Raises:
-        DataError: a negative key, rows too large for one int64 key, or
-            rows out of key order or repeating a key.
-    """
-    base = _key_base(keys, other_keys)
-    for columns in (keys, other_keys):
-        key = _flat_key(columns, base)
-        if not (key[1:] > key[:-1]).all():
-            raise DataError("tally rows are out of key order or repeat a key")
-    return base
-
-
-def _merged_rows(mine: tuple, theirs: tuple, base: int) -> tuple:
+def _merged_rows(mine: tuple, theirs: tuple) -> tuple:
     """(key columns, counts) of two pairs of sorted unique rows, equal keys summed.
 
     Each of theirs' rows lands at its searchsorted place among mine's
@@ -324,8 +306,8 @@ def _merged_rows(mine: tuple, theirs: tuple, base: int) -> tuple:
         return mine
     if not counts.size:
         return theirs
-    key = _flat_key(keys, base)
-    other_key = _flat_key(other_keys, base)
+    key = _flat_key(keys)
+    other_key = _flat_key(other_keys)
     at = np.searchsorted(key, other_key)
     new = key.take(at, mode="clip") != other_key
     del key, other_key
@@ -413,17 +395,12 @@ class SessionTable:
         self.clicks = clicks
 
     @classmethod
-    def from_block(cls, block: np.ndarray) -> "SessionTable":
-        """A table of a (sessions, 6) int64 block, rows as session_block gives."""
-        return cls(*np.ascontiguousarray(block.T))
-
-    @classmethod
     def from_rows(cls, rows: list) -> "SessionTable":
-        """A table of descriptor rows; user and root stay lists."""
+        """A table of descriptor rows; user and root as _id_column gives them."""
         user, index, root, size, depth, clicks = (
             zip(*rows) if rows else ((),) * len(SessionDescriptor._fields))
-        return cls(list(user), _int64(index), list(root), _int64(size),
-                   _int64(depth), _int64(clicks))
+        return cls(_id_column(user), _int64(index), _id_column(root),
+                   _int64(size), _int64(depth), _int64(clicks))
 
     @property
     def columns(self) -> tuple:
@@ -446,15 +423,19 @@ class SessionTable:
         return SessionTable, self.columns
 
 
-def session_block(rows: list) -> np.ndarray:
-    """Descriptor rows with integer ids as one (sessions, 6) int64 block."""
-    width = len(SessionDescriptor._fields)
-    flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
-    return flat.reshape(-1, width)
-
-
 def _int64(values) -> np.ndarray:
     return np.fromiter(values, np.int64, len(values))
+
+
+def _id_column(ids: tuple):
+    """Integer ids as an int64 array, any other ids as a list.
+
+    operator.index refuses a str, so a decimal string id stays a str.
+    """
+    try:
+        return np.fromiter(map(operator.index, ids), np.int64, len(ids))
+    except TypeError:
+        return list(ids)
 
 
 def column_list(column) -> list:

@@ -110,6 +110,8 @@ class TestGenerate:
         for gamma in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 generate_scale_free(100, 3, gamma, seed=1)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            generate_scale_free(100, 3, 2.1, seed=-1)
 
     @pytest.mark.parametrize("n, m, gamma, seed", [
         (4, 1, 2.5, 0),

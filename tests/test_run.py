@@ -23,7 +23,7 @@ from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK, _run_queue,
                         _write_columns_csv, build_config, parse_config_file,
                         partition_agents, write_outputs)
 from webnav.session import (ArrayTally, SessionDescriptor, SessionRecorder,
-                            SessionTable, session_block)
+                            SessionTable)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -216,15 +216,14 @@ class TestSessionTable:
     def test_equality_reads_every_column(self):
         rows = [SessionDescriptor(0, 0, 5, 2, 1, 3),
                 SessionDescriptor(0, 1, 7, 1, 0, 1)]
-        table = SessionTable.from_block(session_block(rows))
-        assert table == SessionTable.from_block(session_block(rows))
+        table = SessionTable.from_rows(rows)
+        assert table == SessionTable.from_rows(rows)
         for at in range(len(SessionDescriptor._fields)):
             changed = list(rows[1])
             changed[at] += 1
-            other = SessionTable.from_block(
-                session_block([rows[0], SessionDescriptor(*changed)]))
+            other = SessionTable.from_rows([rows[0], SessionDescriptor(*changed)])
             assert table != other, SessionDescriptor._fields[at]
-        assert table != SessionTable.from_block(session_block(rows[:1]))
+        assert table != SessionTable.from_rows(rows[:1])
         assert table != rows  # a table is not a list, even with equal rows
 
     def test_string_ids_stay_lists(self):
@@ -235,6 +234,18 @@ class TestSessionTable:
         assert table.size.dtype == np.int64
         assert list(table) == rows
         assert len(SessionTable.from_rows([])) == 0
+
+    def test_integer_ids_give_int64_columns(self):
+        rows = [SessionDescriptor(3, 0, 5, 2, 1, 3),
+                SessionDescriptor(2**40, 1, 7, 1, 0, 1)]
+        table = SessionTable.from_rows(rows)
+        assert all(column.dtype == np.int64 for column in table.columns)
+        assert table.user.tolist() == [3, 2**40] and table.root.tolist() == [5, 7]
+        assert list(table) == rows
+        # a decimal string id is not read as a number
+        table = SessionTable.from_rows([SessionDescriptor("12", 0, 5, 1, 0, 0)])
+        assert table.user == ["12"] and type(table.user[0]) is str
+        assert table.root.dtype == np.int64
 
     def test_pickles_as_columns(self, graph):
         result = simulate(SimConfig(model="abc", n_agents=4, sessions=20, seed=2),
@@ -249,7 +260,8 @@ class TestSessionTable:
         out = _run_queue(queue, "pagerank", graph, ModelParams(), 7, False)
         buffers = (sum(a.nbytes for columns, counts in out.tally.columns()
                        for a in (*columns, counts))
-                   + sum(agent.sessions.nbytes for agent in out.agents))
+                   + sum(column.nbytes for agent in out.agents
+                         for column in agent.sessions.columns))
         assert sum(len(agent.sessions) for agent in out.agents) == 800
         assert len(ForkingPickler.dumps(out)) <= buffers + 4096
 
@@ -322,25 +334,24 @@ class TestSessionsCsv:
         rng = np.random.default_rng(rows)
         base = 2**40
         users = np.sort(rng.integers(base - 10**6, base + 10**6, rows))
-        block = np.column_stack([
-            users, np.arange(rows), rng.integers(base - 5, base + 5, rows),
-            rng.integers(1, 10**6, rows), rng.integers(0, 10**5, rows),
-            rng.integers(0, 10**7, rows)])
-        table = SessionTable.from_block(block)
+        columns = (users, np.arange(rows), rng.integers(base - 5, base + 5, rows),
+                   rng.integers(1, 10**6, rows), rng.integers(0, 10**5, rows),
+                   rng.integers(0, 10**7, rows))
+        table = SessionTable(*columns)
         write_outputs(tmp_path / "out", table, ArrayTally.of(TrafficTally()), [],
                       Counter(table.clicks.tolist()))
         expected = tmp_path / "expected.csv"
         with open(expected, "wt", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["user_id", "session_index", "root", "size", "depth"])
-            writer.writerows(block[:, :5].tolist())
+            writer.writerows(zip(*(column.tolist() for column in columns[:5])))
         assert ((tmp_path / "out" / "sessions.csv").read_bytes()
                 == expected.read_bytes())
 
 
 class TestSessionClicksCsv:
     def one_session(self):
-        return SessionTable.from_block(np.array([[0, 0, 5, 2, 1, 3]]))
+        return SessionTable.from_rows([SessionDescriptor(0, 0, 5, 2, 1, 3)])
 
     def test_written_from_the_clicks_column(self, tmp_path):
         table = self.one_session()
@@ -515,6 +526,46 @@ class TestCli:
                      "--out", str(tmp_path / "x")]) == code
         # one line, no traceback
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
+        bad, good = tmp_path / "bad.txt", tmp_path / "m.txt"
+        bad.write_bytes(b"tool = webnav\na = b\xe9\n")
+        good.write_text("a = b\n")
+        assert main(["compare", str(bad), str(good)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: bytes that are not UTF-8\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1"], ["--config", "{conf}"]], ids=["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = -3\n")
+        argv = [arg.format(conf=conf) for arg in argv]
+        assert main(["simulate", "--n", "300", "--agents", "3", "--sessions", "5",
+                     *argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_seeds_agents_on_a_given_graph(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        assert main(["simulate", "--graph", str(edges), "--agents", "2",
+                     "--sessions", "3", "--seed", "-1",
+                     "--out", str(tmp_path / "x")]) == 0
+
+    # spellings int() reads, and an id too large for int64
+    @pytest.mark.parametrize("token, message", [
+        ("2_0", "not a base-10 unsigned integer"), ("+2", "not a base-10 unsigned integer"),
+        ("\u0663", "not a base-10 unsigned integer"),
+        ("100000000000000000000000", "not below 2**63")],
+        ids=["underscore", "plus", "arabic_indic", "too_large"])
+    def test_graph_id_not_plain_digits_exits_3(self, tmp_path, capsys, token, message):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n1 {token}\n", encoding="utf-8")
+        assert main(["simulate", "--graph", str(edges), "--agents", "2",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: node id {message} in '1 {token}'\n")
         assert not (tmp_path / "x").exists()
 
     def test_ingest_and_compare_roundtrip(self, tmp_path, capsys):

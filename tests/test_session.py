@@ -346,7 +346,8 @@ class TestArrayTally:
                             sorted_columns(added(views(a), views(b))))
 
     def test_links_sharing_a_flat_key_stay_apart(self):
-        # alone, 1 -> 0 reads as key 1 * 1 + 0 and 0 -> 1 as 0 * 2 + 1
+        # src * (max dst + 1) + dst, with each tally's own max dst, would key
+        # both 1 -> 0 and 0 -> 1 as 1; src << 31 | dst keys them 2**31 and 1
         a, b = tally_of(links=[(1, 0)]), tally_of(links=[(0, 1)] * 2)
         (src, dst), counts = ArrayTally.of(a).merge(ArrayTally.of(b)).columns()[1]
         assert (src.tolist(), dst.tolist(), counts.tolist()) == (
@@ -369,9 +370,44 @@ class TestArrayTally:
             ArrayTally.of(good).merge(bad)
 
     def test_link_keys_too_large_for_one_key_raise(self):
-        tally = tally_of(links=[(2**62, 2**40)])
-        with pytest.raises(DataError, match="do not fit one int64 key"):
-            ArrayTally.of(tally)
+        # src << 31 | dst is one int64 key while both ids are below 2**31
+        for link in ((2**62, 2**40), (2**31, 0), (0, 2**31)):
+            with pytest.raises(DataError, match=r"tally key \d+ is not below 2\*\*31"):
+                ArrayTally.of(tally_of(links=[link]))
+
+    def test_page_id_of_2_to_the_31_raises(self):
+        with pytest.raises(DataError, match=r"tally key 2147483648 is not below 2\*\*31"):
+            ArrayTally.of(tally_of([0, 2**31]))
+        with pytest.raises(DataError, match=r"must lie in \[0, 2\*\*31\)"):
+            ArrayTally.of(tally_of([2**64]))  # past int64
+
+    def test_largest_ids_keep_their_order(self):
+        top = 2**31 - 1
+        links = [(top, top), (top, 0), (0, top), (top, top)]
+        (src, dst), counts = ArrayTally.of(tally_of(links=links)).columns()[1]
+        assert (src.tolist(), dst.tolist(), counts.tolist()) == (
+            [0, top, top], [top, 0, top], [1, 1, 2])
+        merged = ArrayTally.of(tally_of(links=links[:2])).merge(
+            ArrayTally.of(tally_of(links=links[2:])))
+        (src, dst), counts = merged.columns()[1]
+        assert (src.tolist(), dst.tolist(), counts.tolist()) == (
+            [0, top, top], [top, 0, top], [1, 1, 2])
+
+    @pytest.mark.parametrize("pair, keys", [
+        (0, (np.array([2**31]),)), (1, (np.array([2**31]), np.array([0]))),
+        (1, (np.array([0]), np.array([2**31]))), (2, (np.array([2**31]),))],
+        ids=["page", "src", "dst", "start"])
+    @pytest.mark.parametrize("bad_side", ["self", "other"])
+    def test_merge_of_a_key_of_2_to_the_31_raises(self, pair, keys, bad_side):
+        tallies = [ArrayTally.of(tally_of([0, 1], [(0, 1)])) for _ in range(2)]
+        bad = tallies[bad_side == "other"]
+        columns = list(bad.columns())
+        columns[pair] = (keys, np.ones(1, np.int64))
+        bad.__init__(*columns)
+        before = pickle.loads(pickle.dumps(tallies))
+        with pytest.raises(DataError, match=r"tally key 2147483648 is not below 2\*\*31"):
+            tallies[0].merge(tallies[1])
+        assert tallies == before
 
     def test_string_ids_stay_strings_in_id_order(self):
         # decimal "9" before "10", as the simulation writes 9 before 10
