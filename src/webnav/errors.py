@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check that input decoded."""
+"""Exception types shared across the package, and the checks of input text."""
 
 
 class WebnavError(Exception):
@@ -60,3 +60,8 @@ def not_utf8(line: str) -> bool:
     except UnicodeEncodeError:
         return True
     return False
+
+
+def is_decimal(text: str) -> bool:
+    """Whether text is base-10 ASCII digits; int() also reads "+2", "2_0", " 2"."""
+    return text.isascii() and text.isdigit()

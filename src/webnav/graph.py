@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParseError, not_utf8
+from .errors import ConfigurationError, DataError, ParseError, is_decimal, not_utf8
 
 
 class WebGraph:
@@ -243,8 +243,7 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ParseError(f"expected 'src dst', got {line!r}", line_no)
-            # int() also reads "+2", "2_0" and non-ASCII digits
-            if not all(part.isascii() and part.isdigit() for part in parts):
+            if not all(map(is_decimal, parts)):
                 raise ParseError(f"node id not a base-10 unsigned integer in {line!r}",
                                  line_no)
             u, v = int(parts[0]), int(parts[1])

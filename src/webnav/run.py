@@ -2,8 +2,8 @@
 
 A run is reproducible bit-exactly from (config, seed): agents own RNG
 streams derived from (master seed, agent id), workers never share mutable
-state, and results are reassembled in agent-id order, so the worker count
-cannot influence any output byte.
+state, and queues are contiguous runs of agent ids joined in id order,
+so the worker count cannot influence any output byte.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -22,8 +23,8 @@ import numpy as np
 from . import __version__
 from .agents import (STEP_FUNCTIONS, TELEPORT, ModelParams, ZipfRankTable,
                      make_agent)
-from .errors import (ConfigurationError, DataError, EmptyDataError,
-                     StatisticsError, UnboundedSessionError, not_utf8)
+from .errors import (ConfigurationError, DataError, EmptyDataError, StatisticsError,
+                     UnboundedSessionError, is_decimal, not_utf8)
 from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import fit_power_law, histogram, ks_statistic
@@ -45,6 +46,12 @@ METRIC_FILES = {
     "session_depth": ("sessions.csv", "depth", 1),
     "entropy": ("entropy.csv", "entropy_bits", None),
 }
+
+
+def _int(raw) -> int:
+    if not is_decimal(str(raw).removeprefix("-")):
+        raise ValueError(raw)
+    return int(raw)
 
 
 @dataclass
@@ -77,6 +84,9 @@ class SimConfig:
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         self.params.validate()
+        if self.params.p_t == 0 and self.model in ("pagerank", "bookrank"):
+            raise ConfigurationError(
+                f"model {self.model} needs p_t > 0: its sessions end only at a teleport")
         return self
 
     def quotas(self) -> list[int]:
@@ -94,7 +104,7 @@ class SimConfig:
                 if not line:
                     continue
                 try:
-                    q = int(line)
+                    q = _int(line)
                 except ValueError:
                     raise ConfigurationError(
                         f"{self.sessions_file}:{line_no}: bad session count {line!r}") from None
@@ -113,8 +123,8 @@ class SimConfig:
 # flag is the key with "-" for "_".
 _CONFIG_KEYS = {
     "model": ("model", str, f"navigation model: {', '.join(MODELS)}"),
-    "n": ("graph_n", int, "nodes in the generated graph"),
-    "m": ("graph_m", int, "links added per new node"),
+    "n": ("graph_n", _int, "nodes in the generated graph"),
+    "m": ("graph_m", _int, "links added per new node"),
     "gamma": ("graph_gamma", float, "target degree exponent"),
     "graph": ("graph_path", str, "edge-list file instead of generating"),
     "symmetrize": ("symmetrize", None, "insert reverse edges when loading --graph"),
@@ -126,12 +136,12 @@ _CONFIG_KEYS = {
     "cb": ("c_b", float, "back click cost"),
     "eta": ("eta", float, "topical locality half-width"),
     "delta0": ("delta0", float, "session-root relevance"),
-    "agents": ("n_agents", int, "number of agents"),
-    "sessions": ("sessions", int, "sessions per agent"),
+    "agents": ("n_agents", _int, "number of agents"),
+    "sessions": ("sessions", _int, "sessions per agent"),
     "sessions_file": ("sessions_file", str,
                       "file with one per-agent session quota per line"),
-    "seed": ("seed", int, "master RNG seed"),
-    "workers": ("workers", int, "worker process count"),
+    "seed": ("seed", _int, "master RNG seed"),
+    "workers": ("workers", _int, "worker process count"),
     "out": ("out_dir", str, "output directory"),
     "export_log": ("export_log", None, "write the clicks as a synthetic request log"),
 }
@@ -203,33 +213,28 @@ def resolve_graph(config: SimConfig) -> WebGraph:
 
 
 def partition_agents(quotas: list[int], n_queues: int) -> list[list[int]]:
-    """Split agent ids into queues of roughly equal total session count.
+    """Split agent ids into at most n_queues contiguous runs, in id order.
 
-    Longest-processing-time greedy: place agents in descending quota order
-    onto the currently lightest queue. Guarantees max load <= min load +
-    max single quota. Deterministic: ties break by agent id and queue index.
+    With n = min(n_queues, agents), an agent joins run n * q // total, q
+    the sum of the quotas before it, so no run's load reaches total/n +
+    the largest quota, and equal quotas give run lengths that differ by at
+    most 1. Empty runs are dropped.
     """
     n_queues = max(1, min(n_queues, len(quotas)))
+    total = sum(quotas)
     queues = [[] for _ in range(n_queues)]
-    loads = [0] * n_queues
-    for aid in sorted(range(len(quotas)), key=lambda i: (-quotas[i], i)):
-        lightest = loads.index(min(loads))
-        queues[lightest].append(aid)
-        loads[lightest] += quotas[aid]
+    before = 0
+    for aid, quota in enumerate(quotas):
+        queues[before * n_queues // total].append(aid)
+        before += quota
     return [q for q in queues if q]
 
 
 @dataclass
-class AgentOutput:
-    agent_id: int
-    sessions: SessionTable  # the agent's descriptors
-    entropy: tuple          # entropy_row of the agent
-    log_lines: list | None
-
-
-@dataclass
 class QueueOutput:
-    agents: list            # AgentOutput, in queue order
+    sessions: list          # one SessionTable per agent, in agent-id order
+    entropies: list         # entropy_row per agent, in agent-id order
+    log_lines: list | None  # the agents' request lines, in agent-id order
     tally: ArrayTally       # the queue's counts
     compute_s: float        # the queue's compute time
     end: float              # perf_counter() at its end: system-wide on Linux
@@ -237,8 +242,7 @@ class QueueOutput:
 
 def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                     params: ModelParams, master_seed: int,
-                    zipf: ZipfRankTable, export: bool,
-                    tally: TrafficTally) -> AgentOutput:
+                    zipf: ZipfRankTable, tally: TrafficTally) -> SessionTable:
     state = make_agent(agent_id, master_seed, params, zipf)
     recorder = SessionRecorder(agent_id, tally)
     step = STEP_FUNCTIONS[model]
@@ -259,16 +263,8 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
             raise UnboundedSessionError(f"{exc}: model {model}, {params}") from None
         if closed is not None:
             keep(closed)
-    lines = None
-    if export:
-        lines = [f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
-                 f"\t{target}\n"
-                 for i, (ref, target) in enumerate(zip(tally.ref, tally.dst), start=1)]
     # int64 columns pickle as buffers, not as a tuple per session
-    return AgentOutput(agent_id=agent_id,
-                       sessions=SessionTable.from_rows(descriptors),
-                       entropy=entropy_row(agent_id, tally),
-                       log_lines=lines)
+    return SessionTable.from_rows(descriptors)
 
 
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
@@ -276,36 +272,38 @@ def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
     start = time.perf_counter()
     tallies = [TrafficTally() for _ in queue]  # one per agent
     zipf = ZipfRankTable(params.beta)
-    agents = [
-        _simulate_agent(agent_id, quota, model, graph, params, master_seed,
-                        zipf, export, tally)
-        for (agent_id, quota), tally in zip(queue, tallies)
-    ]
+    sessions = [_simulate_agent(agent_id, quota, model, graph, params,
+                                master_seed, zipf, tally)
+                for (agent_id, quota), tally in zip(queue, tallies)]
+    entropies = [entropy_row(agent_id, tally)
+                 for (agent_id, _), tally in zip(queue, tallies)]
+    lines = ([f"{EXPORT_BASE_TIME + i}\t{agent_id}\t{'-' if ref is None else ref}"
+              f"\t{target}\n"
+              for (agent_id, _), tally in zip(queue, tallies)
+              for i, (ref, target) in enumerate(zip(tally.ref, tally.dst), start=1)]
+             if export else None)
     # the queue's requests, counted once: arrays pickle and merge fast
     shipped = ArrayTally.of(*tallies)
     end = time.perf_counter()
-    return QueueOutput(agents=agents, tally=shipped, compute_s=end - start,
-                       end=end)
+    return QueueOutput(sessions, entropies, lines, shipped, end - start, end)
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(model, graph, params, master_seed, export):
-    _POOL_STATE.update(model=model, graph=graph, params=params,
-                       master_seed=master_seed, export=export)
+def _pool_init(run_queue):
+    global _RUN_QUEUE  # the worker's _run_queue, the run's arguments bound
+    _RUN_QUEUE = run_queue
 
 
 def _pool_run(queue):
-    s = _POOL_STATE
-    return _run_queue(queue, s["model"], s["graph"], s["params"],
-                      s["master_seed"], s["export"])
+    return _RUN_QUEUE(queue)
 
 
 def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     """Run the configured model; deterministic for any worker count.
 
-    The result's times hold time.queue_compute_s, the slowest queue's
+    Each worker's queue is one of partition_agents' contiguous runs of
+    agent ids, under total/workers + the largest quota sessions, so the
+    queues' results joined in queue order are in agent-id order. The
+    result's times hold time.queue_compute_s, the slowest queue's
     compute time, time.queue_tail_s, from the last queue's end to the
     merged result (transfer and merge), and time.merge_s, the part of
     it spent merging the queues' tallies.
@@ -314,37 +312,30 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     if graph is None:
         graph = resolve_graph(config)
     quotas = config.quotas()
-    queues = partition_agents(quotas, config.workers)
-    work = [[(aid, quotas[aid]) for aid in queue] for queue in queues]
-
-    if config.workers == 1 or len(work) == 1:
-        outputs = [_run_queue(q, config.model, graph, config.params,
-                              config.seed, config.export_log) for q in work]
+    queues = [[(aid, quotas[aid]) for aid in run]
+              for run in partition_agents(quotas, config.workers)]
+    run_queue = partial(_run_queue, model=config.model, graph=graph,
+                        params=config.params, master_seed=config.seed,
+                        export=config.export_log)
+    if len(queues) == 1:
+        outputs = [run_queue(queues[0])]
     else:
-        with Pool(processes=min(config.workers, len(work)),
-                  initializer=_pool_init,
-                  initargs=(config.model, graph, config.params,
-                            config.seed, config.export_log)) as pool:
-            outputs = pool.map(_pool_run, work)
+        # a forked worker inherits run_queue and its graph unpickled
+        with Pool(len(queues), initializer=_pool_init,
+                  initargs=(run_queue,)) as pool:
+            outputs = pool.map(_pool_run, queues)
 
     tally = outputs[0].tally
-    agent_outputs = list(outputs[0].agents)
     merge_s = 0.0
     for out in outputs[1:]:
         start = time.perf_counter()
         tally.merge(out.tally)  # leaves out.tally empty
         merge_s += time.perf_counter() - start
-        agent_outputs.extend(out.agents)
-    agent_outputs.sort(key=lambda a: a.agent_id)
-
-    entropies = []
-    log_lines = [] if config.export_log else None
-    for agent in agent_outputs:
-        entropies.append(agent.entropy)
-        if config.export_log:
-            log_lines.extend(agent.log_lines)
     sessions = SessionTable(*map(np.concatenate, zip(
-        *(agent.sessions.columns for agent in agent_outputs))))
+        *(table.columns for out in outputs for table in out.sessions))))
+    entropies = [row for out in outputs for row in out.entropies]
+    log_lines = ([line for out in outputs for line in out.log_lines]
+                 if config.export_log else None)
     times = {"time.queue_compute_s": max(out.compute_s for out in outputs),
              "time.queue_tail_s": (time.perf_counter()
                                    - max(out.end for out in outputs)),
@@ -511,13 +502,11 @@ class RunManifest:
         return cls(values, path)
 
 
-def _peak_rss_mb() -> dict:
-    """High-water resident set of this process and of its largest child."""
+def _peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
+    """High-water resident set so far of this process, or of its largest child."""
     # ru_maxrss is in KiB on Linux, in bytes on macOS
     unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
-    return {key: resource.getrusage(who).ru_maxrss / unit
-            for key, who in (("peak_rss_mb", resource.RUSAGE_SELF),
-                             ("peak_rss_mb.children", resource.RUSAGE_CHILDREN))}
+    return resource.getrusage(who).ru_maxrss / unit
 
 
 def _write_run(out_dir, command: str, items: dict, result: RunResult,
@@ -526,8 +515,9 @@ def _write_run(out_dir, command: str, items: dict, result: RunResult,
 
     The manifest holds the command, the caller's items, the result's
     summary, the wall time since started, the caller's stage_times
-    (time.<stage>_s), time.write_s, the caller's later timings and
-    rates, the peak RSS, then the names of the files.
+    (time.<stage>_s), time.write_s, the caller's later timings, rates
+    and peak RSS after each stage, the peak RSS, then the names of the
+    files.
     """
     out = Path(out_dir)
     write_start = time.perf_counter()
@@ -538,7 +528,8 @@ def _write_run(out_dir, command: str, items: dict, result: RunResult,
             fh.writelines(result.log_lines)
         entries["file.request_log"] = EXPORT_LOG_NAME
     measured = {**stage_times, "time.write_s": time.perf_counter() - write_start,
-                **later, **_peak_rss_mb()}
+                **later, "peak_rss_mb": _peak_rss_mb(),
+                "peak_rss_mb.children": _peak_rss_mb(resource.RUSAGE_CHILDREN)}
     values = {"tool": f"webnav {__version__}", "command": command, **items}
     values.update((key, _fmt(v)) for key, v in result.summary().items())
     values["wall_time_s"] = _fmt(time.perf_counter() - started)
@@ -553,13 +544,16 @@ def run_simulation(config: SimConfig, graph: WebGraph | None = None) -> RunManif
     config.validate()
     if graph is None:
         graph = resolve_graph(config)
+    graph_rss = _peak_rss_mb()
     sim_start = time.perf_counter()
     result = simulate(config, graph)
     simulate_s = time.perf_counter() - sim_start
     stage_times = {"time.simulate_s": simulate_s}
     # near 0 when the caller passed the graph in
     later = {"time.graph_s": sim_start - started, **result.times,
-             "clicks_per_s": result.total_clicks / simulate_s}
+             "clicks_per_s": result.total_clicks / simulate_s,
+             "peak_rss_mb.graph": graph_rss,
+             "peak_rss_mb.simulate": _peak_rss_mb()}
     p = config.params
     items = {
         "model": config.model,
@@ -615,7 +609,8 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
     }
     lines = stats.parsed + stats.skipped + stats.filtered  # non-empty lines
     return _write_run(out_dir, "ingest", items, result, started, stage_times,
-                      {"lines_per_s": lines / sessionize_s})
+                      {"lines_per_s": lines / sessionize_s,
+                       "peak_rss_mb.sessionize": _peak_rss_mb()})
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,12 @@ class TestConfig:
         config = SimConfig(n_agents=3, sessions_file=str(qf))
         assert config.quotas() == [3, 1, 2]
 
+    def test_pt_zero_needs_a_model_whose_sessions_end_otherwise(self):
+        for model in ("pagerank", "bookrank"):
+            with pytest.raises(ConfigurationError, match=f"model {model}"):
+                SimConfig(model=model, params=ModelParams(p_t=0.0)).validate()
+        SimConfig(model="abc", params=ModelParams(p_t=0.0)).validate()
+
     def test_sessions_file_count_mismatch(self, tmp_path):
         qf = tmp_path / "quotas.txt"
         qf.write_text("3\n1\n")
@@ -96,12 +102,20 @@ class TestConfig:
 
 
 class TestPartition:
-    def test_balance_invariant(self):
-        quotas = [1, 50, 3, 9, 9, 9, 2, 70, 5, 5, 5, 1]
-        queues = partition_agents(quotas, 4)
-        loads = [sum(quotas[a] for a in q) for q in queues]
-        assert sum(len(q) for q in queues) == len(quotas)
-        assert max(loads) <= min(loads) + max(quotas)
+    def test_contiguous_runs(self):
+        for quotas in ([1, 50, 3, 9, 9, 9, 2, 70, 5, 5, 5, 1], [4] * 10, [7] * 3):
+            for n_queues in range(1, 6):
+                queues = partition_agents(quotas, n_queues)
+                assert sum(queues, []) == list(range(len(quotas)))
+                n = min(n_queues, len(quotas))
+                assert len(queues) <= n
+                for queue in queues:
+                    load = sum(quotas[aid] for aid in queue)
+                    assert load < sum(quotas) / n + max(quotas)
+                if len(set(quotas)) == 1:
+                    lengths = [len(queue) for queue in queues]
+                    assert len(lengths) == n
+                    assert max(lengths) - min(lengths) <= 1
 
     def test_deterministic(self):
         quotas = [7, 7, 7, 1, 1, 9]
@@ -119,6 +133,17 @@ class TestSimulate:
         result = simulate(config, graph=graph)
         assert result.total_sessions == 50
         assert all(d.size == 1 for d in result.descriptors)
+
+    def test_skewed_quotas_same_result_at_any_worker_count(self, tmp_path, graph):
+        # at 4 workers one contiguous run comes out empty: 3 queues
+        quotas = tmp_path / "quotas.txt"
+        quotas.write_text("1\n50\n3\n9\n9\n9\n2\n70\n5\n5\n5\n1\n")
+        results = [simulate(SimConfig(model="bookrank", n_agents=12, seed=9,
+                                      sessions_file=str(quotas), workers=workers,
+                                      export_log=True), graph=graph)
+                   for workers in (1, 2, 3, 4)]
+        assert results[0].total_sessions == 169
+        assert all(result == results[0] for result in results[1:])
 
     def test_quota_respected_per_agent(self, graph):
         config = SimConfig(model="abc", n_agents=7, sessions=13, seed=4, workers=1)
@@ -260,9 +285,9 @@ class TestSessionTable:
         out = _run_queue(queue, "pagerank", graph, ModelParams(), 7, False)
         buffers = (sum(a.nbytes for columns, counts in out.tally.columns()
                        for a in (*columns, counts))
-                   + sum(column.nbytes for agent in out.agents
-                         for column in agent.sessions.columns))
-        assert sum(len(agent.sessions) for agent in out.agents) == 800
+                   + sum(column.nbytes for table in out.sessions
+                         for column in table.columns))
+        assert sum(len(table) for table in out.sessions) == 800
         assert len(ForkingPickler.dumps(out)) <= buffers + 4096
 
     def test_click_lengths_read_the_clicks_column(self, graph):
@@ -387,6 +412,15 @@ class TestRunSimulation:
             assert float(m[stage]) + float(m["time.write_s"]) <= float(m["wall_time_s"])
         assert "time.sessionize_s" not in manifest.values
         assert "time.simulate_s" not in ingest.values
+
+    def test_manifest_records_peak_rss_by_stage(self, tmp_path, graph):
+        out, manifest = run_to_dir(tmp_path, "sim", 2, graph, export=True)
+        ingest = run_ingest(out / "requests.log", tmp_path / "ingest")
+        graph_rss, simulate_rss, peak = (
+            float(manifest[key]) for key in
+            ("peak_rss_mb.graph", "peak_rss_mb.simulate", "peak_rss_mb"))
+        assert 0 < graph_rss <= simulate_rss <= peak
+        assert 0 < float(ingest["peak_rss_mb.sessionize"]) <= float(ingest["peak_rss_mb"])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_manifest_records_queue_times_and_rates(self, tmp_path, graph,
@@ -566,6 +600,25 @@ class TestCli:
                      "--out", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err == (
             f"error: line 2: node id {message} in '1 {token}'\n")
+        assert not (tmp_path / "x").exists()
+
+    # spellings int() reads, in a flag and in a quota file
+    @pytest.mark.parametrize("flag, value", [
+        ("--agents", "1_0"), ("--sessions", " +5 "), ("--seed", "\u0663"),
+        ("--sessions-file", "1_0"), ("--sessions-file", "+2"),
+        ("--sessions-file", "\u0663")])
+    def test_integer_not_plain_digits_exits_2(self, tmp_path, capsys, flag, value):
+        argv = ["--agents", "2", "--n", "300"]
+        if flag == "--sessions-file":
+            path = tmp_path / "quotas.txt"
+            path.write_text(f"1\n{value}\n", encoding="utf-8")
+            argv += [flag, str(path)]
+            message = f"{path}:2: bad session count {value!r}"
+        else:
+            argv += [flag, value]
+            message = f"bad value for {flag[2:]}: {value!r}"
+        assert main(["simulate", *argv, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
     def test_ingest_and_compare_roundtrip(self, tmp_path, capsys):
