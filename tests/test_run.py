@@ -135,9 +135,10 @@ class TestSimulate:
         assert all(d.size == 1 for d in result.descriptors)
 
     def test_skewed_quotas_same_result_at_any_worker_count(self, tmp_path, graph):
-        # at 4 workers one contiguous run comes out empty: 3 queues
+        skewed = [1, 50, 3, 9, 9, 9, 2, 70, 5, 5, 5, 1]
+        assert len(partition_agents(skewed, 4)) == 3  # one run comes out empty
         quotas = tmp_path / "quotas.txt"
-        quotas.write_text("1\n50\n3\n9\n9\n9\n2\n70\n5\n5\n5\n1\n")
+        quotas.write_text("".join(f"{q}\n" for q in skewed))
         results = [simulate(SimConfig(model="bookrank", n_agents=12, seed=9,
                                       sessions_file=str(quotas), workers=workers,
                                       export_log=True), graph=graph)
