@@ -12,9 +12,9 @@ import sys
 from .errors import (ConfigurationError, DataError, ParseError,
                      StatisticsError, WebnavError)
 from .ingest import DEFAULT_TIMEOUT
-from .run import (_CONFIG_KEYS, RunManifest, build_config, compare_runs,
-                  format_comparison, parse_config_file, run_ingest,
-                  run_simulation)
+from .run import (_CONFIG_KEYS, RunManifest, _float, build_config, compare_runs,
+                  convert_option, format_comparison, parse_config_file,
+                  run_ingest, run_simulation)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ing = sub.add_parser("ingest", help="rebuild sessions from a request log")
     ing.add_argument("log", help="TSV request log (timestamp, user, referrer, target)")
     ing.add_argument("--out", required=True, help="output directory")
-    ing.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+    ing.add_argument("--timeout", default=DEFAULT_TIMEOUT,
                      help="session inactivity timeout in seconds")
     ing.add_argument("--strip-query", action="store_true",
                      help="drop ?query suffixes from URLs")
@@ -80,7 +80,8 @@ def _cmd_ingest(args) -> int:
     extensions = None
     if args.extensions:
         extensions = [e for e in args.extensions.split(",") if e]
-    manifest = run_ingest(args.log, args.out, timeout=args.timeout,
+    timeout = convert_option("timeout", _float, args.timeout)
+    manifest = run_ingest(args.log, args.out, timeout=timeout,
                           strip_query=args.strip_query,
                           page_extensions=extensions)
     print(f"wrote {manifest.path}")

@@ -19,16 +19,7 @@ class UnboundedSessionError(ConfigurationError):
 
 
 class ParseError(WebnavError):
-    """Malformed input file.
-
-    Carries the 1-based line number when known.
-    """
-
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    """Malformed input file; the message names the file and line."""
 
 
 class DataError(WebnavError):
@@ -65,3 +56,29 @@ def not_utf8(line: str) -> bool:
 def is_decimal(text: str) -> bool:
     """Whether text is base-10 ASCII digits; int() also reads "+2", "2_0", " 2"."""
     return text.isascii() and text.isdigit()
+
+
+def is_plain_float(text: str) -> bool:
+    """Whether text is ASCII with no "_", whitespace or leading "+".
+
+    float() also reads "2_5", " 1", "+1" and other scripts' digits;
+    "inf" and "nan" pass, for the caller's range check.
+    """
+    return (text.isascii() and "_" not in text and not text.startswith("+")
+            and text.split() == [text])
+
+
+def input_lines(path, error):
+    """(line number, stripped line) for each non-blank line of a UTF-8 text file.
+
+    Raises:
+        error: "{path}:{n}: bytes that are not UTF-8", for any line n,
+            blank or comment too.
+    """
+    with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, start=1):
+            if not_utf8(line):
+                raise error(f"{path}:{n}: bytes that are not UTF-8")
+            line = line.strip()
+            if line:
+                yield n, line

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ParseError, is_decimal, not_utf8
+from .errors import ConfigurationError, DataError, ParseError, input_lines, is_decimal
 
 
 class WebGraph:
@@ -224,7 +224,7 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     Raises:
         ParseError: malformed line, an id that is not ASCII digits or not
             below 2**63, or a line holding bytes that are not UTF-8,
-            comments too (reported with its line number).
+            comments too ("{path}:{line}: ...").
         DataError: no edges, or the largest SCC has fewer than 2 nodes
             (a single node cannot satisfy the no-dangling invariant).
     """
@@ -233,24 +233,20 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     from scipy.sparse.csgraph import connected_components
 
     src, dst = [], []
-    with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not_utf8(line):  # comments too
-                raise ParseError(f"bytes that are not UTF-8 in {path}", line_no)
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise ParseError(f"expected 'src dst', got {line!r}", line_no)
-            if not all(map(is_decimal, parts)):
-                raise ParseError(f"node id not a base-10 unsigned integer in {line!r}",
-                                 line_no)
-            u, v = int(parts[0]), int(parts[1])
-            if max(u, v) >= 1 << 63:  # ids go into int64 arrays
-                raise ParseError(f"node id not below 2**63 in {line!r}", line_no)
-            src.append(u)
-            dst.append(v)
+    for n, line in input_lines(path, ParseError):
+        if line.startswith("#"):
+            continue
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{n}: expected 'src dst', got {line!r}")
+        if not all(map(is_decimal, parts)):
+            raise ParseError(f"{path}:{n}: node id not a base-10 unsigned integer "
+                             f"in {line!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if max(u, v) >= 1 << 63:  # ids go into int64 arrays
+            raise ParseError(f"{path}:{n}: node id not below 2**63 in {line!r}")
+        src.append(u)
+        dst.append(v)
     if not src:
         raise DataError(f"no edges in {path}")
     src = np.asarray(src, dtype=np.int64)

@@ -172,7 +172,7 @@ class Sessionizer:
     records whose timestamp is below that of their user's previous
     record. Such records are still assigned as usual, but never move
     their session's last activity backwards. One instance sessionizes one
-    log.
+    log: feed() after finish() raises ProtocolError.
 
     Raises:
         ConfigurationError: a timeout that is nan or negative.
@@ -186,11 +186,15 @@ class Sessionizer:
         self.tallies: dict = {}  # user -> TrafficTally
         self.out_of_order = 0
         self._users: dict = {}
+        self._finished = False
 
     def feed(self, record: LogRecord) -> list[SessionDescriptor]:
         """Assign one record; returns descriptors of the sessions it expired."""
         state = self._users.get(record.user)
         if state is None:
+            if self._finished:  # finish() emptied _users: every user is new
+                raise ProtocolError("Sessionizer.feed after finish: "
+                                    "one instance sessionizes one log")
             state = self._users[record.user] = _UserState(
                 self.tallies.setdefault(record.user, TrafficTally()))
         t = record.timestamp
@@ -212,6 +216,7 @@ class Sessionizer:
             closed.extend(self._close(user, state, state.sessions[sid])
                           for sid in sorted(state.sessions))
         self._users.clear()
+        self._finished = True
         return closed
 
     def run(self, records: Iterable[LogRecord]) -> RunResult:

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, session
 from .agents import (STEP_FUNCTIONS, TELEPORT, ModelParams, ZipfRankTable,
                      make_agent)
-from .errors import (ConfigurationError, DataError, EmptyDataError, StatisticsError,
-                     UnboundedSessionError, is_decimal, not_utf8)
+from .errors import (ConfigurationError, DataError, EmptyDataError, ParseError,
+                     StatisticsError, UnboundedSessionError, input_lines, is_decimal,
+                     is_plain_float)
 from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import fit_power_law, histogram, ks_statistic
@@ -52,6 +53,20 @@ def _int(raw) -> int:
     if not is_decimal(str(raw).removeprefix("-")):
         raise ValueError(raw)
     return int(raw)
+
+
+def _float(raw) -> float:
+    if not is_plain_float(str(raw)):
+        raise ValueError(raw)
+    return float(raw)
+
+
+def convert_option(key: str, conv, raw):
+    """conv(raw), or ConfigurationError naming the option."""
+    try:
+        return conv(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"bad value for {key}: {raw!r}") from None
 
 
 @dataclass
@@ -84,9 +99,11 @@ class SimConfig:
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         self.params.validate()
-        if self.params.p_t == 0 and self.model in ("pagerank", "bookrank"):
+        cap = session.MAX_SESSION_CLICKS
+        if self.params.p_t * cap <= 1 and self.model in ("pagerank", "bookrank"):
             raise ConfigurationError(
-                f"model {self.model} needs p_t > 0: its sessions end only at a teleport")
+                f"model {self.model} needs p_t > 1/{cap}: its sessions end only at "
+                f"a teleport, after 1/p_t clicks on average")
         return self
 
     def quotas(self) -> list[int]:
@@ -94,24 +111,16 @@ class SimConfig:
         if self.sessions_file is None:
             return [self.sessions] * self.n_agents
         quotas = []
-        with open(self.sessions_file, "rt", encoding="utf-8",
-                  errors="surrogateescape") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not_utf8(line):
-                    raise ConfigurationError(
-                        f"{self.sessions_file}:{line_no}: bytes that are not UTF-8")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    q = _int(line)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{self.sessions_file}:{line_no}: bad session count {line!r}") from None
-                if q < 1:
-                    raise ConfigurationError(
-                        f"{self.sessions_file}:{line_no}: session count must be >= 1")
-                quotas.append(q)
+        for n, line in input_lines(self.sessions_file, ConfigurationError):
+            try:
+                q = _int(line)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{self.sessions_file}:{n}: bad session count {line!r}") from None
+            if q < 1:
+                raise ConfigurationError(
+                    f"{self.sessions_file}:{n}: session count must be >= 1")
+            quotas.append(q)
         if len(quotas) != self.n_agents:
             raise ConfigurationError(
                 f"{self.sessions_file} lists {len(quotas)} quotas for {self.n_agents} agents")
@@ -125,17 +134,17 @@ _CONFIG_KEYS = {
     "model": ("model", str, f"navigation model: {', '.join(MODELS)}"),
     "n": ("graph_n", _int, "nodes in the generated graph"),
     "m": ("graph_m", _int, "links added per new node"),
-    "gamma": ("graph_gamma", float, "target degree exponent"),
+    "gamma": ("graph_gamma", _float, "target degree exponent"),
     "graph": ("graph_path", str, "edge-list file instead of generating"),
     "symmetrize": ("symmetrize", None, "insert reverse edges when loading --graph"),
-    "pt": ("p_t", float, "teleport probability"),
-    "beta": ("beta", float, "bookmark rank exponent"),
-    "pb": ("p_b", float, "back-button probability"),
-    "e0": ("e0", float, "session-start energy"),
-    "cf": ("c_f", float, "forward click cost"),
-    "cb": ("c_b", float, "back click cost"),
-    "eta": ("eta", float, "topical locality half-width"),
-    "delta0": ("delta0", float, "session-root relevance"),
+    "pt": ("p_t", _float, "teleport probability"),
+    "beta": ("beta", _float, "bookmark rank exponent"),
+    "pb": ("p_b", _float, "back-button probability"),
+    "e0": ("e0", _float, "session-start energy"),
+    "cf": ("c_f", _float, "forward click cost"),
+    "cb": ("c_b", _float, "back click cost"),
+    "eta": ("eta", _float, "topical locality half-width"),
+    "delta0": ("delta0", _float, "session-root relevance"),
     "agents": ("n_agents", _int, "number of agents"),
     "sessions": ("sessions", _int, "sessions per agent"),
     "sessions_file": ("sessions_file", str,
@@ -158,23 +167,28 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {raw!r}")
 
 
+def _key_values(path):
+    """(line number, key, value) of each line of a flat 'key = value' file.
+
+    Lines starting with '#' are comments. Raises ConfigurationError
+    naming the file and line for a line without '='.
+    """
+    for n, line in input_lines(path, ConfigurationError):
+        if line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigurationError(f"{path}:{n}: expected 'key = value'")
+        yield n, key.strip(), value.strip()
+
+
 def parse_config_file(path) -> dict:
     """Read a flat 'key = value' config file into an option dict."""
     options = {}
-    with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not_utf8(line):  # comments too
-                raise ConfigurationError(f"{path}:{line_no}: bytes that are not UTF-8")
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
-            options[key] = raw.strip()
+    for n, key, value in _key_values(path):
+        if key not in _CONFIG_KEYS:
+            raise ConfigurationError(f"{path}:{n}: unknown key {key!r}")
+        options[key] = value
     return options
 
 
@@ -192,10 +206,7 @@ def build_config(options: dict) -> SimConfig:
         if conv is None:
             value = raw if isinstance(raw, bool) else _parse_bool(raw)
         else:
-            try:
-                value = conv(raw)
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"bad value for {key}: {raw!r}") from None
+            value = convert_option(key, conv, raw)
         if attr in _PARAM_FIELDS:
             param_values[attr] = value
         else:
@@ -489,17 +500,7 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        values = {}
-        with open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not_utf8(line):
-                    raise ConfigurationError(f"{path}:{line_no}: bytes that are not UTF-8")
-                line = line.strip()
-                if not line or "=" not in line:
-                    continue
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-        return cls(values, path)
+        return cls({key: value for _, key, value in _key_values(path)}, path)
 
 
 def _peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
@@ -617,21 +618,36 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
 # run comparison
 
 
-def _metric_samples(manifest: RunManifest, metric: str):
-    path = manifest.metric_file(metric)
-    with open(path, "rt", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        col = next(reader).index(METRIC_FILES[metric][1])
-        return [float(row[col]) for row in reader]
+def _read_metric_file(path, column: str, key: str | None = None):
+    """A number column of a CSV file that write_outputs wrote.
 
+    Returns the column's values as floats, or with key, a dict from the
+    key column's values to them.
 
-def _metric_alpha(manifest: RunManifest, metric: str):
-    path = manifest.metric_file("fits")
-    with open(path, "rt", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["metric"] == metric:
-                return float(row["alpha"])
-    return math.nan
+    Raises:
+        ParseError: naming the file and line: a header without the
+            columns, a row without a number in the column, or bytes that
+            are not UTF-8.
+    """
+    try:
+        with open(path, "rt", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for name in (key or column, column):
+                if name not in header:
+                    raise ParseError(f"{path}:1: no column {name!r} in the header")
+            col, at = header.index(column), header.index(key or column)
+            try:
+                if key is None:
+                    return [float(row[col]) for row in reader]
+                return {row[at]: float(row[col]) for row in reader}
+            except (ValueError, IndexError, csv.Error):
+                raise ParseError(f"{path}:{reader.line_num}: "
+                                 f"no number in column {column!r}") from None
+    except UnicodeDecodeError:
+        for _ in input_lines(path, ParseError):  # raises, naming the line
+            pass
+        raise
 
 
 @dataclass
@@ -646,19 +662,21 @@ class MetricComparison:
 
 def compare_runs(manifest_a: RunManifest, manifest_b: RunManifest) -> list[MetricComparison]:
     """Per-metric comparison of two runs: means, fitted exponents, KS distance."""
+    runs = (manifest_a, manifest_b)
+    alpha_a, alpha_b = (_read_metric_file(m.metric_file("fits"), "alpha", key="metric")
+                        for m in runs)
     rows = []
-    for metric in METRIC_FILES:
-        a = _metric_samples(manifest_a, metric)
-        b = _metric_samples(manifest_b, metric)
+    for metric, (_, column, _) in METRIC_FILES.items():
+        a, b = (_read_metric_file(m.metric_file(metric), column) for m in runs)
         if not a or not b:
             raise ConfigurationError(f"metric {metric!r} is empty in one run")
-        has_fit = METRIC_FILES[metric][2] is not None
         rows.append(MetricComparison(
             metric=metric,
             mean_a=sum(a) / len(a),
             mean_b=sum(b) / len(b),
-            alpha_a=_metric_alpha(manifest_a, metric) if has_fit else math.nan,
-            alpha_b=_metric_alpha(manifest_b, metric) if has_fit else math.nan,
+            # fits.csv has a row for each metric with a fit xmin
+            alpha_a=alpha_a.get(metric, math.nan),
+            alpha_b=alpha_b.get(metric, math.nan),
             ks=ks_statistic(a, b),
         ))
     return rows

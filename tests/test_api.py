@@ -101,6 +101,58 @@ def test_no_unused_module_imports():
     assert found == []
 
 
+def reading_functions(source: str) -> list:
+    """Qualified names of the functions that call open to read a file.
+
+    A call to open or to an .open method counts when its mode is absent,
+    or is not a string constant holding "w", "a" or "x".
+    """
+    found = set()
+
+    def reads(call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            at = 1  # open(file, mode)
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            at = 0  # path.open(mode)
+        else:
+            return False
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                    call.args[at] if len(call.args) > at else None)
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value) & set("wax"))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and reads(child):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_reading_functions_guard_finds_them():
+    source = ("def a(p):\n    return open(p).read()\n"
+              "def b(p):\n    open(p, 'wt').write('')\n"
+              "class C:\n    def c(self, p):\n        return p.open(mode='rb')\n"
+              "    def d(self, p):\n        return p.open('a')\n")
+    assert reading_functions(source) == ["C.c", "a"]
+
+
+def test_input_files_are_read_in_one_place():
+    # errors.input_lines reads the edge list, config, quota and manifest
+    # files; a log's bad lines are counted, not rejected; and compare
+    # reads the metric files with csv.reader
+    found = [f"{path.stem}.{name}"
+             for path in sorted((ROOT / "src/webnav").glob("*.py"))
+             for name in reading_functions(path.read_text(encoding="utf-8"))]
+    assert found == ["errors.input_lines", "run._read_metric_file", "run.run_ingest"]
+
+
 def test_import_loads_no_scipy():
     # scipy costs about 33 MB of RSS: only load_edge_list imports it, when
     # called, and a fit that needs scipy.special must import it in its body

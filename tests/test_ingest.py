@@ -435,6 +435,17 @@ class TestSessionizerRun:
         assert worker._users == {}
         assert worker.finish() == []
 
+    def test_feed_after_finish_raises(self):
+        # a second log's sessions of u would number from 0 again, beside
+        # the first log's in tallies["u"]
+        worker = Sessionizer()
+        worker.feed(LogRecord(0.0, "u", None, "/a"))
+        worker.finish()
+        for user in ("u", "v"):
+            with pytest.raises(ProtocolError, match="after finish"):
+                worker.feed(LogRecord(10.0, user, None, "/b"))
+        assert worker.finish() == []
+
     def test_ingest_files_independent_of_interleaving(self, tmp_path):
         # u's and v's first sessions expire mid-stream, in the order their
         # users' next records arrive; the files must not show that order

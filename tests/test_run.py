@@ -2,6 +2,7 @@ import argparse
 import csv
 import filecmp
 import re
+import shutil
 from collections import Counter
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
@@ -88,11 +89,17 @@ class TestConfig:
         config = SimConfig(n_agents=3, sessions_file=str(qf))
         assert config.quotas() == [3, 1, 2]
 
-    def test_pt_zero_needs_a_model_whose_sessions_end_otherwise(self):
+    def test_pt_zero_needs_a_model_whose_sessions_end_otherwise(self, monkeypatch):
         for model in ("pagerank", "bookrank"):
-            with pytest.raises(ConfigurationError, match=f"model {model}"):
-                SimConfig(model=model, params=ModelParams(p_t=0.0)).validate()
+            for p_t in (0.0, 1e-12):
+                with pytest.raises(ConfigurationError, match=f"model {model}"):
+                    SimConfig(model=model, params=ModelParams(p_t=p_t)).validate()
         SimConfig(model="abc", params=ModelParams(p_t=0.0)).validate()
+        # the bound reads the click cap when validate runs
+        SimConfig(model="pagerank", params=ModelParams(p_t=0.1)).validate()
+        monkeypatch.setattr(session_module, "MAX_SESSION_CLICKS", 10)
+        with pytest.raises(ConfigurationError, match="model pagerank needs p_t > 1/10"):
+            SimConfig(model="pagerank", params=ModelParams(p_t=0.1)).validate()
 
     def test_sessions_file_count_mismatch(self, tmp_path):
         qf = tmp_path / "quotas.txt"
@@ -547,8 +554,7 @@ class TestCli:
 
     # a byte that is not UTF-8, in a comment line where the format has one
     @pytest.mark.parametrize("flag, text, code, message", [
-        ("--graph", b"0 1\n# caf\xe9\n1 0\n", 3,
-         "line 2: bytes that are not UTF-8 in {path}"),
+        ("--graph", b"0 1\n# caf\xe9\n1 0\n", 3, "{path}:2: bytes that are not UTF-8"),
         ("--config", b"model = abc\n# caf\xe9\n", 2,
          "{path}:2: bytes that are not UTF-8"),
         ("--sessions-file", b"5\n\xe9\n", 2, "{path}:2: bytes that are not UTF-8"),
@@ -569,6 +575,37 @@ class TestCli:
         good.write_text("a = b\n")
         assert main(["compare", str(bad), str(good)]) == 2
         assert capsys.readouterr().err == f"error: {bad}:2: bytes that are not UTF-8\n"
+
+    def test_manifest_line_without_equals_exits_2(self, tmp_path, capsys):
+        bad, good = tmp_path / "bad.txt", tmp_path / "m.txt"
+        bad.write_text("tool = webnav\n# a comment\nno equals sign\n")
+        good.write_text("a = b\n")
+        assert main(["compare", str(bad), str(good)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: expected 'key = value'\n"
+
+    # one metric file of run b damaged: (file, damage, line the error names)
+    @pytest.mark.parametrize("name, damage, line", [
+        ("page_traffic.csv", lambda data: b"", 1),
+        ("page_traffic.csv", lambda data: data.replace(b"page,count", b"page,hits"), 1),
+        ("page_traffic.csv", lambda data: re.sub(rb"(?m)^(\d+),\d+$", rb"\1,x", data,
+                                                 count=1), 2),
+        ("entropy.csv", lambda data: data.replace(b"\n", b"\n\xe9", 1), 2),
+        ("fits.csv", lambda data: re.sub(rb"(?m)^([^,\n]*),[^,\n]*", rb"\1", data), 1),
+    ], ids=["empty", "column_renamed", "count_not_a_number", "not_utf8", "no_alpha"])
+    def test_compare_damaged_metric_file_exits_3(self, tmp_path, capsys, name, damage,
+                                                 line):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--model", "pagerank", "--n", "300", "--agents", "2",
+                     "--sessions", "5", "--out", str(a)]) == 0
+        shutil.copytree(a, b)
+        path = b / name
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["compare", str(a / "run_manifest.txt"),
+                     str(b / "run_manifest.txt")]) == 3
+        err = capsys.readouterr().err
+        # one line, no traceback
+        assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["--seed", "-1"], ["--config", "{conf}"]], ids=["flag", "config"])
@@ -600,25 +637,31 @@ class TestCli:
         assert main(["simulate", "--graph", str(edges), "--agents", "2",
                      "--out", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err == (
-            f"error: line 2: node id {message} in '1 {token}'\n")
+            f"error: {edges}:2: node id {message} in '1 {token}'\n")
         assert not (tmp_path / "x").exists()
 
-    # spellings int() reads, in a flag and in a quota file
+    # spellings int() or float() reads, in a flag and in a quota file
     @pytest.mark.parametrize("flag, value", [
         ("--agents", "1_0"), ("--sessions", " +5 "), ("--seed", "\u0663"),
         ("--sessions-file", "1_0"), ("--sessions-file", "+2"),
-        ("--sessions-file", "\u0663")])
+        ("--sessions-file", "\u0663"),
+        ("--pt", "2_5e-2"), ("--beta", "\u0661.\u0665"), ("--gamma", "+2.5"),
+        ("--e0", " 0.5"), ("--delta0", "0.5\t"), ("--timeout", "\u0661\u0668")])
     def test_integer_not_plain_digits_exits_2(self, tmp_path, capsys, flag, value):
-        argv = ["--agents", "2", "--n", "300"]
+        argv = ["simulate", "--agents", "2", "--n", "300"]
         if flag == "--sessions-file":
             path = tmp_path / "quotas.txt"
             path.write_text(f"1\n{value}\n", encoding="utf-8")
             argv += [flag, str(path)]
             message = f"{path}:2: bad session count {value!r}"
         else:
+            if flag == "--timeout":
+                log = tmp_path / "requests.log"
+                log.write_text("0\tu\t-\tA\n")
+                argv = ["ingest", str(log)]
             argv += [flag, value]
             message = f"bad value for {flag[2:]}: {value!r}"
-        assert main(["simulate", *argv, "--out", str(tmp_path / "x")]) == 2
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
