@@ -633,13 +633,14 @@ def _read_metric_file(path, column: str, key: str | None = None):
         with open(path, "rt", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            for name in (key or column, column):
-                if name not in header:
+            for name in (key, column):
+                if name is not None and name not in header:
                     raise ParseError(f"{path}:1: no column {name!r} in the header")
-            col, at = header.index(column), header.index(key or column)
+            col = header.index(column)
             try:
                 if key is None:
                     return [float(row[col]) for row in reader]
+                at = header.index(key)
                 return {row[at]: float(row[col]) for row in reader}
             except (ValueError, IndexError, csv.Error):
                 raise ParseError(f"{path}:{reader.line_num}: "
