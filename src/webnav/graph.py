@@ -1,8 +1,9 @@
 """Browsing substrate: scale-free graph generation and edge-list I/O.
 
 Graphs are stored as a compact immutable index (offset array + neighbor
-array). Construction is single-threaded; the finished structure is
-read-only and safe to share across any number of concurrent walkers.
+array, both int32). Construction is single-threaded; the finished
+structure is read-only and safe to share across any number of concurrent
+walkers.
 """
 
 from __future__ import annotations
@@ -14,24 +15,54 @@ import numpy as np
 from .errors import ConfigurationError, DataError, ParseError, input_lines, is_decimal
 
 
+# Node ids and CSR offsets are int32, which also bounds every id by the
+# tallies' 31-bit keys: a graph has fewer than 2**31 nodes and edges.
+_INT32_LIMIT = 1 << 31
+
+
+def _check_fits_int32(n: int, edges: int, error) -> None:
+    if n >= _INT32_LIMIT or edges >= _INT32_LIMIT:
+        raise error(f"a graph of {n} nodes and {edges} edges does not fit int32 "
+                    f"arrays: both counts must be below 2**31")
+
+
+def _as_int32(values, name: str) -> np.ndarray:
+    """values as an int32 array, or DataError if one lies outside [0, 2**31)."""
+    values = np.asarray(values)
+    if values.dtype == np.int32:
+        return values
+    if not np.issubdtype(values.dtype, np.integer):
+        raise DataError(f"graph {name} must be integers, got dtype {values.dtype}")
+    if values.size and not (values.min() >= 0 and values.max() < _INT32_LIMIT):
+        raise DataError(f"graph {name} must lie in [0, 2**31), got "
+                        f"[{int(values.min())}, {int(values.max())}]")
+    return values.astype(np.int32)
+
+
 class WebGraph:
     """Directed graph over dense node ids [0, n) with no dangling nodes.
 
     Generated graphs carry symmetric links (in-degree == out-degree per
     node); graphs loaded from an edge list without symmetrization are only
-    guaranteed strongly connected.
+    guaranteed strongly connected. offsets and neighbors are held as
+    int32, whatever integer arrays are passed in.
+
+    Raises:
+        DataError: n or the edge count is not below 2**31, or an offset
+            or neighbor is not an integer in [0, 2**31).
     """
 
     __slots__ = ("n", "offsets", "neighbors", "offsets_view", "neighbors_view")
 
     def __init__(self, n: int, offsets: np.ndarray, neighbors: np.ndarray):
         self.n = int(n)
-        self.offsets = offsets
-        self.neighbors = neighbors
+        _check_fits_int32(self.n, np.size(neighbors), DataError)
+        self.offsets = _as_int32(offsets, "offsets")
+        self.neighbors = _as_int32(neighbors, "neighbors")
         # zero-copy views for scalar loops: indexing one yields a Python int
         # without numpy's per-item boxing, and forked workers share the pages
-        self.offsets_view = memoryview(offsets)
-        self.neighbors_view = memoryview(neighbors)
+        self.offsets_view = memoryview(self.offsets)
+        self.neighbors_view = memoryview(self.neighbors)
 
     def __reduce__(self):
         # memoryviews cannot be pickled; the constructor rebuilds them
@@ -69,13 +100,13 @@ class WebGraph:
 def _csr_from_keys(n: int, key: np.ndarray, degrees: np.ndarray):
     """Offsets and neighbors of the directed edges key = src * n + dst.
 
-    degrees[u] counts the edges leaving u. key is sorted in place and
-    becomes the neighbor array, so the build holds no second edge array.
+    degrees[u] counts the edges leaving u. key (int64) is sorted in place
+    and its remainders are written straight into the int32 neighbor array.
     """
     key.sort()
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(degrees, out=offsets[1:])
-    return offsets, np.remainder(key, n, out=key)
+    return offsets, np.remainder(key, n, out=np.empty(key.size, dtype=np.int32))
 
 
 def _csr_from_edges(n: int, src: np.ndarray, dst: np.ndarray):
@@ -143,7 +174,8 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
 
     Args:
         n: number of nodes, >= m + 1.
-        m: undirected links added per arriving node, >= 1.
+        m: undirected links added per arriving node, >= 1. n and the
+            m(m+1) + 2m(n-1-m) directed edges must be below 2**31.
         gamma: target degree exponent, finite and > 2.
         seed: RNG seed, >= 0; the same (n, m, gamma, seed) rebuilds the
             graph bit-identically.
@@ -156,6 +188,8 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
         raise ConfigurationError(f"gamma must be finite and exceed 2, got {gamma}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    # arrival i links to min(m, i) nodes; each link is two directed edges
+    _check_fits_int32(n, m * (m + 1) + 2 * (n - 1 - m) * m, ConfigurationError)
     a = 1.0 / (gamma - 1.0)
     # prefix[j] = sum of R^-a for ranks R = 1..j+1; when i nodes exist the
     # total attachment weight is prefix[i-1], and rank R maps to node R-1.
@@ -163,9 +197,9 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
     # u * prefix[i-1] <= prefix[i-1]; the clamp to i-1 catches equality.
     prefix = np.cumsum(np.arange(1, n, dtype=np.float64) ** (-a))
     uniforms = _Uniforms(np.random.default_rng(seed))
-    arrivals = np.arange(1, n)
+    arrivals = np.arange(1, n, dtype=np.int32)
     links = np.minimum(arrivals, m)
-    dst = np.empty(int(links.sum()), dtype=np.int64)
+    dst = np.empty(int(links.sum()), dtype=np.int32)
     pos = 0
     i = 1
     while i < n:
@@ -201,7 +235,7 @@ def generate_scale_free(n: int, m: int, gamma: float, seed: int) -> WebGraph:
     degrees[1:] += links
     src = np.repeat(arrivals, links)
     del arrivals, links
-    key = np.concatenate((src, dst))
+    key = np.concatenate((src, dst), dtype=np.int64)  # the one int64 edge array
     key *= n
     key[:src.size] += dst
     key[src.size:] += src
@@ -225,8 +259,9 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
         ParseError: malformed line, an id that is not ASCII digits or not
             below 2**63, or a line holding bytes that are not UTF-8,
             comments too ("{path}:{line}: ...").
-        DataError: no edges, or the largest SCC has fewer than 2 nodes
-            (a single node cannot satisfy the no-dangling invariant).
+        DataError: no edges, the largest SCC has fewer than 2 nodes
+            (a single node cannot satisfy the no-dangling invariant), or
+            it has 2**31 or more nodes or edges (the arrays are int32).
     """
     # scipy is imported here, its one use: import webnav stays numpy-only
     from scipy.sparse import csr_matrix
@@ -277,6 +312,7 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     remap = np.full(ids.size, -1, dtype=np.int64)
     remap[members] = np.arange(members.size)
     inside = (remap[u] >= 0) & (remap[v] >= 0)
+    _check_fits_int32(members.size, int(inside.sum()), DataError)
     offsets, neighbors = _csr_from_edges(members.size, remap[u[inside]], remap[v[inside]])
     return WebGraph(members.size, offsets, neighbors)
 

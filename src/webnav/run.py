@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from multiprocessing import Pool
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,11 @@ EXPORT_LOG_NAME = "requests.log"
 MANIFEST_NAME = "run_manifest.txt"
 
 MODELS = tuple(STEP_FUNCTIONS)
+
+# simulate's worker pools: the platform's default start method, which a
+# test may replace. Workers read nothing from the parent but their
+# arguments, so every start method gives the same result.
+_POOL_CONTEXT = multiprocessing.get_context()
 
 # metric name -> (raw samples file, sample column, power-law fit xmin or None)
 METRIC_FILES = {
@@ -253,9 +259,10 @@ class QueueOutput:
 
 def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                     params: ModelParams, master_seed: int,
-                    zipf: ZipfRankTable, tally: TrafficTally) -> SessionTable:
+                    zipf: ZipfRankTable, tally: TrafficTally,
+                    max_clicks: int | None) -> SessionTable:
     state = make_agent(agent_id, master_seed, params, zipf)
-    recorder = SessionRecorder(agent_id, tally)
+    recorder = SessionRecorder(agent_id, tally, max_clicks)
     step = STEP_FUNCTIONS[model]
     record = recorder.record
     descriptors = []
@@ -279,12 +286,13 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
 
 
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
-               params: ModelParams, master_seed: int, export: bool) -> QueueOutput:
+               params: ModelParams, master_seed: int, export: bool,
+               max_clicks: int | None = None) -> QueueOutput:
     start = time.perf_counter()
     tallies = [TrafficTally() for _ in queue]  # one per agent
     zipf = ZipfRankTable(params.beta)
     sessions = [_simulate_agent(agent_id, quota, model, graph, params,
-                                master_seed, zipf, tally)
+                                master_seed, zipf, tally, max_clicks)
                 for (agent_id, quota), tally in zip(queue, tallies)]
     entropies = [entropy_row(agent_id, tally)
                  for (agent_id, _), tally in zip(queue, tallies)]
@@ -317,7 +325,9 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
     result's times hold time.queue_compute_s, the slowest queue's
     compute time, time.queue_tail_s, from the last queue's end to the
     merged result (transfer and merge), and time.merge_s, the part of
-    it spent merging the queues' tallies.
+    it spent merging the queues' tallies. session.MAX_SESSION_CLICKS is
+    read here, once, and bound with the run's other arguments, so a
+    worker under any start method sees the parent's cap.
     """
     config.validate()
     if graph is None:
@@ -327,13 +337,15 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
               for run in partition_agents(quotas, config.workers)]
     run_queue = partial(_run_queue, model=config.model, graph=graph,
                         params=config.params, master_seed=config.seed,
-                        export=config.export_log)
+                        export=config.export_log,
+                        max_clicks=session.MAX_SESSION_CLICKS)
     if len(queues) == 1:
         outputs = [run_queue(queues[0])]
     else:
-        # a forked worker inherits run_queue and its graph unpickled
-        with Pool(len(queues), initializer=_pool_init,
-                  initargs=(run_queue,)) as pool:
+        # a forked worker inherits run_queue and its graph unpickled; a
+        # spawned one unpickles them from initargs
+        with _POOL_CONTEXT.Pool(len(queues), initializer=_pool_init,
+                                initargs=(run_queue,)) as pool:
             outputs = pool.map(_pool_run, queues)
 
     tally = outputs[0].tally
@@ -618,37 +630,60 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
 # run comparison
 
 
-def _read_metric_file(path, column: str, key: str | None = None):
-    """A number column of a CSV file that write_outputs wrote.
+def _read_metric_file(path, columns: list, key: str | None = None) -> list:
+    """Number columns of a CSV file that write_outputs wrote, in one pass.
 
-    Returns the column's values as floats, or with key, a dict from the
-    key column's values to them.
+    Returns one list per name in columns, of that column's values as
+    floats, or with key, one dict per name from the key column's values
+    to them.
 
     Raises:
         ParseError: naming the file and line: a header without the
-            columns, a row without a number in the column, or bytes that
+            columns, a row without a number in a column, or bytes that
             are not UTF-8.
     """
+    names = list(columns) if key is None else [key, *columns]
     try:
         with open(path, "rt", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            for name in (key, column):
-                if name is not None and name not in header:
+            for name in names:
+                if name not in header:
                     raise ParseError(f"{path}:1: no column {name!r} in the header")
-            col = header.index(column)
+            values = [[] for _ in names]
+            reads = [(name, header.index(name), kept.append, str if name == key else float)
+                     for name, kept in zip(names, values)]
             try:
-                if key is None:
-                    return [float(row[col]) for row in reader]
-                at = header.index(key)
-                return {row[at]: float(row[col]) for row in reader}
+                if len(reads) == 1:  # a comprehension reads one column faster
+                    name, at, _, convert = reads[0]
+                    values[0] = [convert(row[at]) for row in reader]
+                else:
+                    for row in reader:
+                        for name, at, keep, convert in reads:
+                            keep(convert(row[at]))
             except (ValueError, IndexError, csv.Error):
                 raise ParseError(f"{path}:{reader.line_num}: "
-                                 f"no number in column {column!r}") from None
+                                 f"no number in column {name!r}") from None
     except UnicodeDecodeError:
         for _ in input_lines(path, ParseError):  # raises, naming the line
             pass
         raise
+    if key is None:
+        return values
+    keys, *values = values
+    return [dict(zip(keys, kept)) for kept in values]
+
+
+def _metric_samples(manifest: RunManifest, metrics) -> list:
+    """Each metric's samples in one run; a file metrics share is read once."""
+    files = {}  # path -> the metrics read from it
+    for metric in metrics:
+        files.setdefault(manifest.metric_file(metric), []).append(metric)
+    samples = {}
+    for path, shared in files.items():
+        columns = [METRIC_FILES[metric][1] for metric in shared]
+        samples.update(zip(shared, _read_metric_file(path, columns)))
+    return [samples[metric] for metric in metrics]
 
 
 @dataclass
@@ -664,22 +699,25 @@ class MetricComparison:
 def compare_runs(manifest_a: RunManifest, manifest_b: RunManifest) -> list[MetricComparison]:
     """Per-metric comparison of two runs: means, fitted exponents, KS distance."""
     runs = (manifest_a, manifest_b)
-    alpha_a, alpha_b = (_read_metric_file(m.metric_file("fits"), "alpha", key="metric")
-                        for m in runs)
+    (alpha_a,), (alpha_b,) = (_read_metric_file(m.metric_file("fits"), ["alpha"],
+                                                key="metric") for m in runs)
     rows = []
-    for metric, (_, column, _) in METRIC_FILES.items():
-        a, b = (_read_metric_file(m.metric_file(metric), column) for m in runs)
-        if not a or not b:
-            raise ConfigurationError(f"metric {metric!r} is empty in one run")
-        rows.append(MetricComparison(
-            metric=metric,
-            mean_a=sum(a) / len(a),
-            mean_b=sum(b) / len(b),
-            # fits.csv has a row for each metric with a fit xmin
-            alpha_a=alpha_a.get(metric, math.nan),
-            alpha_b=alpha_b.get(metric, math.nan),
-            ks=ks_statistic(a, b),
-        ))
+    # the metrics of one file in turn: a file's columns are held only
+    # until its metrics are compared
+    for _, group in groupby(METRIC_FILES, key=lambda metric: METRIC_FILES[metric][0]):
+        metrics = list(group)
+        for metric, a, b in zip(metrics, *(_metric_samples(m, metrics) for m in runs)):
+            if not a or not b:
+                raise ConfigurationError(f"metric {metric!r} is empty in one run")
+            rows.append(MetricComparison(
+                metric=metric,
+                mean_a=sum(a) / len(a),
+                mean_b=sum(b) / len(b),
+                # fits.csv has a row for each metric with a fit xmin
+                alpha_a=alpha_a.get(metric, math.nan),
+                alpha_b=alpha_b.get(metric, math.nan),
+                ks=ks_statistic(a, b),
+            ))
     return rows
 
 

@@ -26,7 +26,8 @@ from .errors import DataError, ProtocolError, UnboundedSessionError
 # The most clicks one session may hold. A session that reaches it cannot
 # be meant to end (the largest desk session has 199 pages), so
 # SessionRecorder.record raises UnboundedSessionError instead of running
-# on. Read at every click, so a test may lower it.
+# on. Read when a recorder is made without a cap, and once per run by
+# simulate, which hands it to every worker, so a test may lower it.
 MAX_SESSION_CLICKS = 10**7
 
 
@@ -498,18 +499,20 @@ class SessionRecorder:
     One recorder per user. record() takes a step as the step functions
     return it, kind one of TELEPORT, FORWARD or BACK, and returns the
     descriptor of the session a teleport just closed (None otherwise), or
-    raises UnboundedSessionError on a session's click past
-    MAX_SESSION_CLICKS; close() finishes the last session. The requests
-    a browser would issue are appended to the tally's (ref, dst)
-    columns, in click order: given the user's own tally, they are the
-    user's requests, which entropy_row and the export read.
+    raises UnboundedSessionError on a session's click past max_clicks
+    (MAX_SESSION_CLICKS as it reads at construction when None); close()
+    finishes the last session. The requests a browser would issue are
+    appended to the tally's (ref, dst) columns, in click order: given the
+    user's own tally, they are the user's requests, which entropy_row and
+    the export read.
     """
 
-    __slots__ = ("user", "tally", "tree", "position", "sessions_closed")
+    __slots__ = ("user", "tally", "max_clicks", "tree", "position", "sessions_closed")
 
-    def __init__(self, user, tally: TrafficTally):
+    def __init__(self, user, tally: TrafficTally, max_clicks: int | None = None):
         self.user = user
         self.tally = tally
+        self.max_clicks = MAX_SESSION_CLICKS if max_clicks is None else max_clicks
         self.tree = None
         self.position = None
         self.sessions_closed = 0
@@ -527,7 +530,7 @@ class SessionRecorder:
         if tree is None:
             raise ProtocolError(f"{KIND_NAMES[kind]} step before any session start")
         clicks = tree.clicks + 1
-        if clicks > MAX_SESSION_CLICKS:
+        if clicks > self.max_clicks:
             raise self._unbounded()
         tree.clicks = clicks
         if kind == FORWARD:
@@ -550,7 +553,7 @@ class SessionRecorder:
     def _unbounded(self) -> UnboundedSessionError:
         return UnboundedSessionError(
             f"agent {self.user!r} session {self.sessions_closed} passed "
-            f"{MAX_SESSION_CLICKS} clicks")
+            f"{self.max_clicks} clicks")
 
     def _close_current(self) -> SessionDescriptor:
         desc = self.tree.descriptor(self.user, self.sessions_closed)

@@ -101,15 +101,33 @@ def test_no_unused_module_imports():
     assert found == []
 
 
+def scopes_where(source: str, match) -> list:
+    """Qualified names of the functions and classes holding a node that
+    match(node) holds for; "<module>" for module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if match(child):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
 def reading_functions(source: str) -> list:
     """Qualified names of the functions that call open to read a file.
 
     A call to open or to an .open method counts when its mode is absent,
     or is not a string constant holding "w", "a" or "x".
     """
-    found = set()
-
     def reads(call) -> bool:
+        if not isinstance(call, ast.Call):
+            return False
         func = call.func
         if isinstance(func, ast.Name) and func.id == "open":
             at = 1  # open(file, mode)
@@ -122,17 +140,17 @@ def reading_functions(source: str) -> list:
         return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
                     and set(mode.value) & set("wax"))
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            if isinstance(child, ast.Call) and reads(child):
-                found.add(".".join(scope) or "<module>")
-            visit(child, scope)
+    return scopes_where(source, reads)
 
-    visit(ast.parse(source), [])
-    return sorted(found)
+
+def reading_name(source: str, name: str) -> list:
+    """Qualified names of the scopes that read name, bare or as an attribute."""
+    def reads(node) -> bool:
+        spelled = (node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute) else None)
+        return spelled == name and isinstance(node.ctx, ast.Load)
+
+    return scopes_where(source, reads)
 
 
 def test_reading_functions_guard_finds_them():
@@ -151,6 +169,25 @@ def test_input_files_are_read_in_one_place():
              for path in sorted((ROOT / "src/webnav").glob("*.py"))
              for name in reading_functions(path.read_text(encoding="utf-8"))]
     assert found == ["errors.input_lines", "run._read_metric_file", "run.run_ingest"]
+
+
+def test_reading_name_guard_finds_them():
+    source = ("CAP = 3\n"
+              "def a():\n    return CAP\n"
+              "def b(m):\n    m.CAP = 4\n"
+              "class C:\n    def c(self, m):\n        return m.CAP + 1\n")
+    assert reading_name(source, "CAP") == ["C.c", "a"]
+
+
+def test_click_cap_is_read_in_three_places():
+    # validate bounds p_t by it; simulate binds it into every worker's
+    # queue; a recorder made without a cap reads it once
+    found = [f"{path.stem}.{name}"
+             for path in sorted((ROOT / "src/webnav").glob("*.py"))
+             for name in reading_name(path.read_text(encoding="utf-8"),
+                                      "MAX_SESSION_CLICKS")]
+    assert found == ["run.SimConfig.validate", "run.simulate",
+                     "session.SessionRecorder.__init__"]
 
 
 def test_import_loads_no_scipy():

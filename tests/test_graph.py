@@ -6,19 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from webnav import (ModelParams, fit_power_law, generate_scale_free,
+from webnav import graph as graph_module
+from webnav import (ModelParams, WebGraph, fit_power_law, generate_scale_free,
                     load_edge_list, make_agent, pagerank_step, write_edge_list)
 from webnav.errors import ConfigurationError, DataError, ParseError
 from webnav.graph import _BLOCK, _csr_from_edges
 
 
 def _reference_csr(n, src, dst):
-    """CSR build by a (src, dst) lexsort; _csr_from_edges must match it."""
+    """CSR build by a (src, dst) lexsort, as int32; _csr_from_edges must match it."""
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, dst.astype(np.int64)
+    return offsets, dst.astype(np.int32)
 
 
 def _reference_scale_free(n, m, gamma, seed):
@@ -125,15 +126,17 @@ class TestGenerate:
     def test_matches_scalar_reference(self, n, m, gamma, seed):
         g = generate_scale_free(n, m, gamma, seed)
         offsets, neighbors = _reference_scale_free(n, m, gamma, seed)
-        assert g.offsets.dtype == offsets.dtype
-        assert g.neighbors.dtype == neighbors.dtype
+        assert g.offsets.dtype == offsets.dtype == np.int32
+        assert g.neighbors.dtype == neighbors.dtype == np.int32
         assert np.array_equal(g.offsets, offsets)
         assert np.array_equal(g.neighbors, neighbors)
 
     def test_desk_graph_digest(self):
-        # pinned from the scalar loop, before graph growth was vectorized
+        # pinned from the scalar loop, before graph growth was vectorized,
+        # when the arrays were int64: hashing them cast back keeps the pin
         g = generate_scale_free(100_000, 3, 2.1, seed=1)
-        digest = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes())
+        digest = hashlib.sha256(g.offsets.astype(np.int64).tobytes()
+                                + g.neighbors.astype(np.int64).tobytes())
         assert digest.hexdigest() == (
             "2625b96a2dae39229b1aebc924de344e6c5cb478273d4cce183eaac5759d790d")
 
@@ -148,8 +151,9 @@ class TestGenerate:
         assert np.array_equal(src, src_before)
         assert np.array_equal(dst, dst_before)
         ref_offsets, ref_neighbors = _reference_csr(n, src, dst)
+        assert offsets.dtype == ref_offsets.dtype == np.int32
         assert np.array_equal(offsets, ref_offsets)
-        assert neighbors.dtype == ref_neighbors.dtype
+        assert neighbors.dtype == ref_neighbors.dtype == np.int32
         assert np.array_equal(neighbors, ref_neighbors)
 
     def test_build_peak_memory(self):
@@ -300,3 +304,61 @@ class TestEdgeKeys:
         path.write_text(text)
         g = load_edge_list(path, symmetrize=symmetrize)
         assert np.all(np.diff(_csr_keys(g)) > 0)
+
+
+class TestInt32:
+    """Every graph holds int32 arrays, whatever made it: node and edge
+    counts below 2**31 are the contract."""
+
+    @staticmethod
+    def assert_int32(g):
+        assert g.offsets.dtype == g.neighbors.dtype == np.int32
+        assert g.offsets_view.format == g.neighbors_view.format == "i"
+        assert g.offsets_view.tolist() == g.offsets.tolist()
+        assert g.neighbors_view.tolist() == g.neighbors.tolist()
+
+    def test_every_graph_is_int32(self, tmp_path, small_graph):
+        path = tmp_path / "edges.txt"
+        write_edge_list(small_graph, path)
+        wide = WebGraph(small_graph.n, small_graph.offsets.astype(np.int64),
+                        small_graph.neighbors.astype(np.int64))
+        copy = pickle.loads(pickle.dumps(small_graph, protocol=pickle.HIGHEST_PROTOCOL))
+        for g in (small_graph, load_edge_list(path), wide, copy):
+            self.assert_int32(g)
+            assert np.array_equal(g.offsets, small_graph.offsets)
+            assert np.array_equal(g.neighbors, small_graph.neighbors)
+
+    def test_pickle_holds_four_bytes_per_entry(self, small_graph):
+        g = small_graph
+        blob = pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) <= 4 * (g.n + 1 + g.n_edges) + 1024
+
+    @pytest.mark.parametrize("offsets, neighbors", [
+        ([0, 1, 2], [1, 2**31]),
+        ([0, 1, 2**31], [1, 0]),
+        ([0, 1, 2], [1, -1]),
+        ([0.0, 1.0, 2.0], [1, 0]),
+    ], ids=["neighbor_2**31", "offset_2**31", "negative", "float"])
+    def test_constructor_rejects_what_int32_cannot_hold(self, offsets, neighbors):
+        with pytest.raises(DataError, match="graph (offsets|neighbors) must"):
+            WebGraph(2, np.array(offsets), np.array(neighbors, dtype=np.int64))
+
+    def test_constructor_rejects_2_to_the_31_nodes(self):
+        with pytest.raises(DataError, match="below 2\\*\\*31"):
+            WebGraph(2**31, np.array([0, 1, 2]), np.array([1, 0]))
+
+    # m = 1 gives 2(n - 1) directed edges: exactly 2**31 at n = 2**30 + 1
+    @pytest.mark.parametrize("n, m", [(2**31, 1), (2**30 + 1, 1)],
+                             ids=["nodes", "edges"])
+    def test_generate_rejects_counts_past_int32(self, n, m):
+        # checked before any array is allocated
+        with pytest.raises(ConfigurationError, match="below 2\\*\\*31"):
+            generate_scale_free(n, m, 2.1, seed=1)
+
+    def test_load_rejects_counts_past_the_limit(self, tmp_path, monkeypatch):
+        path = tmp_path / "cycle.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 0\n")
+        assert load_edge_list(path).n == 4
+        monkeypatch.setattr(graph_module, "_INT32_LIMIT", 4)
+        with pytest.raises(DataError, match="4 nodes and 4 edges"):
+            load_edge_list(path)

@@ -1,9 +1,11 @@
 import argparse
 import csv
 import filecmp
+import multiprocessing
 import re
 import shutil
 from collections import Counter
+from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from tallies import id_key, tally_of
 from webnav import run as run_module
 from webnav import session as session_module
 from webnav import (ModelParams, RunManifest, SimConfig, TrafficTally,
-                    compare_runs, generate_scale_free, run_ingest,
+                    compare_runs, format_comparison, generate_scale_free, run_ingest,
                     run_simulation, simulate)
 from webnav import cli
 from webnav.cli import main
@@ -202,6 +204,32 @@ class TestSimulate:
         with pytest.raises(UnboundedSessionError,
                            match=r"agent \d+ session 0 passed 2000 clicks: "
                                  r"model abc, ModelParams\(.*c_f=0\.0, c_b=0\.0"):
+            simulate(config, graph=graph)
+
+
+# a worker that is not forked re-imports webnav: it sees only what
+# simulate hands it
+@pytest.fixture(params=["spawn", "forkserver"])
+def start_method(request, monkeypatch):
+    monkeypatch.setattr(run_module, "_POOL_CONTEXT",
+                        multiprocessing.get_context(request.param))
+    return request.param
+
+
+class TestStartMethods:
+    def test_two_workers_equal_one(self, graph, start_method):
+        config = SimConfig(model="bookrank", n_agents=6, sessions=15, seed=8,
+                           export_log=True)
+        one, two = (simulate(replace(config, workers=workers), graph=graph)
+                    for workers in (1, 2))
+        assert one == two
+
+    def test_lowered_cap_raises_in_workers(self, graph, monkeypatch, start_method):
+        monkeypatch.setattr(session_module, "MAX_SESSION_CLICKS", 2000)
+        config = SimConfig(model="abc", n_agents=3, sessions=5, seed=8, workers=2,
+                           params=ModelParams(c_f=0.0, c_b=0.0))
+        with pytest.raises(UnboundedSessionError,
+                           match=r"agent \d+ session 0 passed 2000 clicks: model abc"):
             simulate(config, graph=graph)
 
 
@@ -477,6 +505,24 @@ class TestRunSimulation:
             "session_size", "session_depth", "entropy"}
         assert all(r.ks == 0.0 for r in rows)
         assert all(r.mean_a == r.mean_b for r in rows)
+
+    def test_compare_opens_each_file_once(self, tmp_path, graph, monkeypatch):
+        _, a = run_to_dir(tmp_path, "a", 1, graph, export=True)
+        b = run_ingest(tmp_path / "a" / "requests.log", tmp_path / "b")
+        expected = format_comparison(compare_runs(a, b), "a", "b")  # nan != nan
+        opened = Counter()
+
+        def counting_open(path, *args, **kwargs):
+            opened[Path(path)] += 1
+            return open(path, *args, **kwargs)
+
+        # run.py's own open: the metric files are all it opens
+        monkeypatch.setattr(run_module, "open", counting_open, raising=False)
+        assert format_comparison(compare_runs(a, b), "a", "b") == expected
+        files = {m.metric_file(metric) for m in (a, b)
+                 for metric in ("fits", *run_module.METRIC_FILES)}
+        assert len(files) == 12  # six per run: sessions.csv holds two metrics
+        assert opened == Counter(files)
 
     def test_ingest_of_export_matches_sim_outputs(self, tmp_path, graph):
         out, manifest = run_to_dir(tmp_path, "exp", 1, graph, export=True)
