@@ -312,7 +312,6 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     remap = np.full(ids.size, -1, dtype=np.int64)
     remap[members] = np.arange(members.size)
     inside = (remap[u] >= 0) & (remap[v] >= 0)
-    _check_fits_int32(members.size, int(inside.sum()), DataError)
     offsets, neighbors = _csr_from_edges(members.size, remap[u[inside]], remap[v[inside]])
     return WebGraph(members.size, offsets, neighbors)
 

@@ -39,10 +39,11 @@ MANIFEST_NAME = "run_manifest.txt"
 
 MODELS = tuple(STEP_FUNCTIONS)
 
-# simulate's worker pools: the platform's default start method, which a
-# test may replace. Workers read nothing from the parent but their
-# arguments, so every start method gives the same result.
-_POOL_CONTEXT = multiprocessing.get_context()
+# simulate's worker pools: multiprocessing itself, so each Pool takes the
+# start method in force when simulate runs, which a test may replace with
+# a context. Workers read nothing from the parent but their arguments, so
+# every start method gives the same result.
+_POOL_CONTEXT = multiprocessing
 
 # metric name -> (raw samples file, sample column, power-law fit xmin or None)
 METRIC_FILES = {
@@ -260,7 +261,7 @@ class QueueOutput:
 def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
                     params: ModelParams, master_seed: int,
                     zipf: ZipfRankTable, tally: TrafficTally,
-                    max_clicks: int | None) -> SessionTable:
+                    max_clicks: int) -> SessionTable:
     state = make_agent(agent_id, master_seed, params, zipf)
     recorder = SessionRecorder(agent_id, tally, max_clicks)
     step = STEP_FUNCTIONS[model]
@@ -288,6 +289,8 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                params: ModelParams, master_seed: int, export: bool,
                max_clicks: int | None = None) -> QueueOutput:
+    # simulate always binds max_clicks; the None default serves only a
+    # direct call, whose recorders then read session.MAX_SESSION_CLICKS
     start = time.perf_counter()
     tallies = [TrafficTally() for _ in queue]  # one per agent
     zipf = ZipfRankTable(params.beta)

@@ -2,8 +2,11 @@ import argparse
 import csv
 import filecmp
 import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
@@ -28,7 +31,8 @@ from webnav.run import (_CONFIG_KEYS, _PARAM_FIELDS, _WRITE_CHUNK, _run_queue,
 from webnav.session import (ArrayTally, SessionDescriptor, SessionRecorder,
                             SessionTable)
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # one value per simulate option, each unlike its default
 OPTION_VALUES = {
@@ -231,6 +235,25 @@ class TestStartMethods:
         with pytest.raises(UnboundedSessionError,
                            match=r"agent \d+ session 0 passed 2000 clicks: model abc"):
             simulate(config, graph=graph)
+
+    def test_start_method_set_after_import(self):
+        # importing webnav fixes no start method: a script may still set
+        # spawn, and simulate's pool then spawns its workers
+        code = (
+            "import multiprocessing, webnav\n"
+            "from multiprocessing.context import SpawnProcess\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "spawned, popen = [], SpawnProcess._Popen\n"
+            "SpawnProcess._Popen = staticmethod(lambda p: spawned.append(p) or popen(p))\n"
+            "graph = webnav.generate_scale_free(300, 2, 2.1, seed=8)\n"
+            "one, two = (webnav.simulate(webnav.SimConfig(\n"
+            "    model='bookrank', n_agents=4, sessions=10, seed=8, workers=w),\n"
+            "    graph=graph) for w in (1, 2))\n"
+            "print(multiprocessing.get_start_method(), len(spawned), one == two)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == ["spawn", "2", "True"]
 
 
 def reference_descriptors(config: SimConfig, graph) -> list:
