@@ -9,6 +9,7 @@ walkers.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -267,7 +268,7 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    src, dst = [], []
+    src, dst = array("q"), array("q")  # 8 B an id, not a Python int each
     for n, line in input_lines(path, ParseError):
         if line.startswith("#"):
             continue
@@ -284,8 +285,8 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
         dst.append(v)
     if not src:
         raise DataError(f"no edges in {path}")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src = np.frombuffer(src, dtype=np.int64)
+    dst = np.frombuffer(dst, dtype=np.int64)
     if symmetrize:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     keep = src != dst  # self-loops violate the graph invariants
@@ -293,15 +294,22 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
     if src.size == 0:
         raise DataError(f"no usable edges in {path} after dropping self-loops")
 
-    ids = np.union1d(src, dst)
+    # each column here is 8 B an edge: deduplicate each side before the
+    # union, and drop every column once it is used
+    ids = np.union1d(np.unique(src), np.unique(dst))
     u = np.searchsorted(ids, src)
     v = np.searchsorted(ids, dst)
-    pair = np.unique(u * ids.size + v)  # dedupe directed pairs
-    u, v = pair // ids.size, pair % ids.size
+    del src, dst
+    pair = u * ids.size
+    pair += v
+    del u, v
+    u, v = np.divmod(np.unique(pair), ids.size)  # each directed pair once
+    del pair
 
     adj = csr_matrix((np.ones(u.size, dtype=np.int8), (u, v)),
                      shape=(ids.size, ids.size))
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    del adj
     biggest = int(np.bincount(labels).argmax())
     members = np.flatnonzero(labels == biggest)
     if members.size < 2:
@@ -311,8 +319,12 @@ def load_edge_list(path, symmetrize: bool = False) -> WebGraph:
 
     remap = np.full(ids.size, -1, dtype=np.int64)
     remap[members] = np.arange(members.size)
-    inside = (remap[u] >= 0) & (remap[v] >= 0)
-    offsets, neighbors = _csr_from_edges(members.size, remap[u[inside]], remap[v[inside]])
+    u = remap[u]  # -1 outside the component
+    v = remap[v]
+    inside = (u >= 0) & (v >= 0)
+    u, v = u[inside], v[inside]
+    del inside
+    offsets, neighbors = _csr_from_edges(members.size, u, v)
     return WebGraph(members.size, offsets, neighbors)
 
 

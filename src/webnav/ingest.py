@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError, ProtocolError, not_utf8
 from .session import (ArrayTally, RunResult, SessionDescriptor, SessionTable,
-                      SessionTree, TrafficTally, entropy_row, follow, id_order,
-                      open_session)
+                      SessionTree, TrafficTally, _id_column, entropy_row, follow,
+                      id_order, open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
 EMPTY_REFERRER = "-"
@@ -88,13 +92,15 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
     that strips to nothing is missing. With page_extensions, records
     whose target path (before any '?' or '#') ends in a file extension
     outside the set are dropped. The records share one str object per
-    distinct user or URL.
+    distinct user or URL, and consecutive records whose timestamp fields
+    are equal share one float.
     """
     if stats is None:
         stats = ParseStats()
     ids = {}  # each distinct user or URL once, shared by every record naming it
     exts = frozenset(e.lower().lstrip(".") for e in page_extensions) if page_extensions else None
     skipped = stats.skipped_by_reason
+    last_raw = None
     for line in lines:
         line = line.rstrip("\n")
         if not line:
@@ -107,11 +113,13 @@ def parse_log(lines: Iterable[str], *, strip_query: bool = False,
             skipped["field_count"] += 1
             continue
         ts_raw, user, referrer, target = parts
-        try:
-            ts = float(ts_raw)
-        except ValueError:
-            skipped["timestamp_not_number"] += 1
-            continue
+        if ts_raw != last_raw:  # a run of equal stamps shares one float
+            try:
+                ts = float(ts_raw)
+            except ValueError:
+                skipped["timestamp_not_number"] += 1
+                continue
+            last_raw = ts_raw
         if strip_query:
             referrer = _strip_query(referrer)
             target = _strip_query(target)
@@ -154,7 +162,8 @@ class _UserState:
     last_time: float = -math.inf                    # previous record's timestamp
     next_sid: int = 0
     sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
-    # url -> {sid: last request time}, each kept in (time, sid) order
+    # url -> [t0, sid0, t1, sid1, ...]: each live session that requested the
+    # url, with its last request time, as flat pairs in (time, sid) order
     url_index: dict = field(default_factory=dict)
     expiry_heap: list = field(default_factory=list)
     closed: int = 0
@@ -167,12 +176,17 @@ class Sessionizer:
     toward traffic and entropy; it outlives finish(). So memory grows with
     the log, not only with live sessions: tallies keeps every tallied
     request until the instance is dropped (about 17 B per line of an
-    exported log, whose ids parse_log shares), besides each user's live
-    sessions and their url index. out_of_order counts
+    exported log, whose ids parse_log shares), besides about 1 KB per live
+    session with its url index entries (72 B for a url only it requested),
+    and run() keeps each closed session as one row of columns (about
+    50 B). out_of_order counts
     records whose timestamp is below that of their user's previous
     record. Such records are still assigned as usual, but never move
-    their session's last activity backwards. One instance sessionizes one
-    log: feed() after finish() raises ProtocolError.
+    their session's last activity backwards. live_sessions_peak is the
+    most sessions held open at once, over all users: a session stays
+    open until a record of its user, or finish(), finds it expired. One
+    instance sessionizes one log: feed() after finish() raises
+    ProtocolError.
 
     Raises:
         ConfigurationError: a timeout that is nan or negative.
@@ -185,39 +199,18 @@ class Sessionizer:
                 f"timeout must be a non-negative number of seconds, got {timeout!r}")
         self.tallies: dict = {}  # user -> TrafficTally
         self.out_of_order = 0
+        self.live_sessions_peak = 0
+        self._live = 0
         self._users: dict = {}
         self._finished = False
 
     def feed(self, record: LogRecord) -> list[SessionDescriptor]:
         """Assign one record; returns descriptors of the sessions it expired."""
-        state = self._users.get(record.user)
-        if state is None:
-            if self._finished:  # finish() emptied _users: every user is new
-                raise ProtocolError("Sessionizer.feed after finish: "
-                                    "one instance sessionizes one log")
-            state = self._users[record.user] = _UserState(
-                self.tallies.setdefault(record.user, TrafficTally()))
-        t = record.timestamp
-        if t < state.last_time:
-            self.out_of_order += 1
-        state.last_time = t
-        heap = state.expiry_heap
-        deadline = t - self.timeout
-        expired = (self._expire(record.user, state, deadline)
-                   if heap and heap[0][0] < deadline else [])
-        self._assign(state, record)
-        return expired
+        return [tree.descriptor(record.user, index) for index, tree in self._feed(record)]
 
     def finish(self) -> list[SessionDescriptor]:
         """Close every remaining session, users in id_order, each by age."""
-        closed = []
-        for user in id_order(self._users):
-            state = self._users[user]
-            closed.extend(self._close(user, state, state.sessions[sid])
-                          for sid in sorted(state.sessions))
-        self._users.clear()
-        self._finished = True
-        return closed
+        return [tree.descriptor(user, index) for user, index, tree in self._finish()]
 
     def run(self, records: Iterable[LogRecord]) -> RunResult:
         """Sessionize a whole record stream: feed every record, then finish.
@@ -234,24 +227,58 @@ class Sessionizer:
         if self.tallies:
             raise ProtocolError("Sessionizer.run needs a fresh instance: "
                                 "this one was already fed")
-        descriptors = []
-        keep = descriptors.extend
-        feed = self.feed
+        closed = _ClosedSessions()
+        add = closed.add
+        feed = self._feed
         for record in records:
-            keep(feed(record))
-        keep(self.finish())
+            expired = feed(record)
+            if expired:
+                for index, tree in expired:
+                    add(record.user, index, tree)
+        for user, index, tree in self._finish():
+            add(user, index, tree)
         tallies = self.tallies
+        # counted before the table and the entropy rows are built: the
+        # roundtrip benchmark's peak RSS reads lower so (BENCH_29.json)
+        tally = ArrayTally.of(*tallies.values())
         users = id_order(tallies)
-        rank = dict(zip(users, range(len(users))))
-        # stable: each user's sessions close, and so come, in index order
-        descriptors.sort(key=lambda desc: rank[desc.user])
+        sessions = closed.table(dict(zip(users, range(len(users)))))
+        del closed
         entropies = [entropy_row(user, tallies[user]) for user in users]
-        return RunResult(SessionTable.from_rows(descriptors),
-                         ArrayTally.of(*tallies.values()), entropies)
+        return RunResult(sessions, tally, entropies)
 
-    def _expire(self, user, state: _UserState,
-                deadline: float) -> list[SessionDescriptor]:
-        """Close the sessions last active before deadline.
+    def _feed(self, record: LogRecord) -> list:
+        """Assign one record; returns (index, tree) of the sessions it expired."""
+        state = self._users.get(record.user)
+        if state is None:
+            if self._finished:  # finish() emptied _users: every user is new
+                raise ProtocolError("Sessionizer.feed after finish: "
+                                    "one instance sessionizes one log")
+            state = self._users[record.user] = _UserState(
+                self.tallies.setdefault(record.user, TrafficTally()))
+        t = record.timestamp
+        if t < state.last_time:
+            self.out_of_order += 1
+        state.last_time = t
+        heap = state.expiry_heap
+        deadline = t - self.timeout
+        expired = (self._expire(state, deadline)
+                   if heap and heap[0][0] < deadline else [])
+        self._assign(state, record)
+        return expired
+
+    def _finish(self) -> Iterator[tuple]:
+        """(user, index, tree) of every remaining session, users in id_order."""
+        for user in id_order(self._users):
+            state = self._users[user]
+            for sid in sorted(state.sessions):
+                sess = state.sessions[sid]
+                yield user, self._close(state, sess), sess.tree
+        self._users.clear()
+        self._finished = True
+
+    def _expire(self, state: _UserState, deadline: float) -> list:
+        """Close the sessions last active before deadline: their (index, tree).
 
         Each live session has one heap entry, keyed at or below its last
         activity, so afterwards no session idle past deadline is left.
@@ -262,24 +289,25 @@ class Sessionizer:
             t, sid = heapq.heappop(heap)
             sess = state.sessions[sid]
             if sess.last_activity < deadline:
-                closed.append(self._close(user, state, sess))
+                closed.append((self._close(state, sess), sess.tree))
                 del state.sessions[sid]
             else:
                 # got activity since the entry was queued; fire later
                 heapq.heappush(heap, (sess.last_activity, sid))
         return closed
 
-    def _close(self, user, state: _UserState, sess: _LiveSession) -> SessionDescriptor:
+    def _close(self, state: _UserState, sess: _LiveSession) -> int:
+        """De-index a session; returns its index among its user's sessions."""
         index = state.url_index
-        for url in sess.tree.depth:
-            per_url = index.get(url)
-            if per_url is not None:
-                per_url.pop(sess.sid, None)
-                if not per_url:
-                    del index[url]
-        desc = sess.tree.descriptor(user, state.closed)
+        for url in sess.tree.depth:  # every url of the tree holds a pair of sid
+            entries = index[url]
+            if len(entries) == 2:  # that pair alone
+                del index[url]
+            else:
+                _drop(entries, sess.sid)
+        self._live -= 1
         state.closed += 1
-        return desc
+        return state.closed - 1
 
     def _assign(self, state: _UserState, record: LogRecord) -> None:
         t = record.timestamp
@@ -294,6 +322,9 @@ class Sessionizer:
             sess = _LiveSession(sid, open_session(state.tally, target), t)
             state.sessions[sid] = sess
             heapq.heappush(state.expiry_heap, (t, sid))
+            self._live += 1
+            if self._live > self.live_sessions_peak:
+                self.live_sessions_peak = self._live
         else:
             sid = sess.sid
             sess.tree.clicks += 1
@@ -302,37 +333,77 @@ class Sessionizer:
                 sess.last_activity = t
         # re-requests still refresh recency for future attachments
         index = state.url_index
-        per_url = index.get(target)
-        if per_url is None:
-            index[target] = {sid: t}
+        entries = index.get(target)
+        if entries is None:
+            index[target] = [t, sid]
             return
-        per_url.pop(sid, None)
-        last = next(reversed(per_url), None)
-        per_url[sid] = t
-        if last is not None:
-            # appending kept (time, sid) order unless this write landed below
-            # the last entry: a same-time tie won by an older session, or a
-            # regressed timestamp
-            last_t = per_url[last]
-            if t < last_t or (t == last_t and sid < last):
-                index[target] = dict(sorted(per_url.items(), key=_time_then_sid))
+        if entries[-1] == sid:  # its own pair is the last: update it in place
+            entries[-2] = t
+        else:
+            if sid in entries:  # a time equal to sid matches too: _drop tells them apart
+                _drop(entries, sid)
+            entries += (t, sid)
+        # appending kept (time, sid) order unless this write landed below
+        # the last pair: a same-time tie won by an older session, or a
+        # regressed timestamp
+        if len(entries) > 2 and (t < entries[-4] or (t == entries[-4] and sid < entries[-3])):
+            entries[:] = chain.from_iterable(sorted(zip(entries[::2], entries[1::2])))
 
     @staticmethod
     def _find_by_referrer(state: _UserState, referrer: str):
         """Live session in which the referrer was most recently requested.
 
-        url_index keeps each url's entries in (request time, sid) order, so
-        the last entry wins, and ties on request time go to the most
+        url_index keeps each url's pairs in (request time, sid) order, so
+        the last pair wins, and ties on request time go to the most
         recently created session. Every indexed session is live: _expire
         has just closed and de-indexed those idle past the deadline.
         """
-        per_url = state.url_index.get(referrer)
-        return None if per_url is None else state.sessions[next(reversed(per_url))]
+        entries = state.url_index.get(referrer)
+        return None if entries is None else state.sessions[entries[-1]]
 
 
-def _time_then_sid(entry):
-    sid, t = entry
-    return t, sid
+def _drop(entries: list, sid: int) -> None:
+    """Remove sid's (time, sid) pair from a url's flat pairs, if it has one.
+
+    Only the sid slots are compared: a time may equal a sid (5.0 == 5).
+    """
+    for at in range(len(entries) - 1, 0, -2):
+        if entries[at] == sid:
+            del entries[at - 1:at + 1]
+            return
+
+
+class _ClosedSessions:
+    """Closed sessions' descriptor fields as columns, in closing order."""
+
+    __slots__ = SessionDescriptor._fields
+
+    def __init__(self):
+        self.user, self.root = [], []
+        self.index, self.size, self.depth, self.clicks = (array("q") for _ in range(4))
+
+    def add(self, user, index: int, tree: SessionTree) -> None:
+        self.user.append(user)
+        self.index.append(index)
+        self.root.append(tree.root)
+        self.size.append(tree.size)
+        self.depth.append(tree.max_depth)
+        self.clicks.append(tree.clicks)
+
+    def table(self, rank: dict) -> SessionTable:
+        """The sessions as a table in user rank order.
+
+        The sort is stable, and each user's sessions close in index
+        order, so the rows come sorted by (user, index).
+        """
+        order = np.argsort(np.fromiter(map(rank.__getitem__, self.user), np.int64,
+                                       len(self.user)), kind="stable")
+        picked = order.tolist()
+        user, root = ([ids[at] for at in picked] for ids in (self.user, self.root))
+        index, size, depth, clicks = (np.frombuffer(column, np.int64)[order]
+                                      for column in (self.index, self.size,
+                                                     self.depth, self.clicks))
+        return SessionTable(_id_column(user), index, _id_column(root), size, depth, clicks)
 
 
 def sessionize(records: Iterable[LogRecord],

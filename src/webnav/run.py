@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import re
 import resource
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
@@ -507,15 +509,42 @@ class RunManifest:
                 f"manifest {self.path} lacks metric {metric!r}") from None
 
     def save(self, path) -> "RunManifest":
+        r"""Write one 'key = value' line per item, the values escaped.
+
+        A backslash, newline or carriage return in a value is written as
+        \\, \n or \r; a surrogate (what a byte of a path that is not
+        UTF-8 decodes to), and whitespace at either end, which load would
+        strip, as \uXXXX. So the file is UTF-8 with one line per item,
+        and load() gives back every value. Other values are written as
+        they are.
+        """
         self.path = Path(path)
         with open(path, "wt", encoding="utf-8", newline="\n") as fh:
             for key, value in self.values.items():
-                fh.write(f"{key} = {value}\n")
+                fh.write(f"{key} = {_ESCAPED.sub(_escape, value)}\n")
         return self
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls({key: value for _, key, value in _key_values(path)}, path)
+        return cls({key: _ESCAPE_SEQUENCE.sub(_unescape, value)
+                    for _, key, value in _key_values(path)}, path)
+
+
+# what RunManifest.save escapes, and the escape sequences load reads back
+_ESCAPED = re.compile(r"[\\\n\r\ud800-\udfff]|\A\s|\s\Z")
+_ESCAPE_SEQUENCE = re.compile(r"\\(\\|n|r|u[0-9a-f]{4})")
+_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r"}
+
+
+def _escape(match) -> str:
+    char = match.group()
+    return _ESCAPES.get(char) or f"\\u{ord(char):04x}"
+
+
+def _unescape(match) -> str:
+    sequence = match.group(1)
+    return _UNESCAPES.get(sequence) or chr(int(sequence[1:], 16))
 
 
 def _peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
@@ -622,6 +651,7 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
         "records_out_of_order": sessionizer.out_of_order,
         "records_filtered": stats.filtered,
         "n_users": len(result.entropies),
+        "live_sessions_peak": sessionizer.live_sessions_peak,
     }
     lines = stats.parsed + stats.skipped + stats.filtered  # non-empty lines
     return _write_run(out_dir, "ingest", items, result, started, stage_times,
@@ -636,9 +666,9 @@ def run_ingest(log_path, out_dir, timeout: float = DEFAULT_TIMEOUT,
 def _read_metric_file(path, columns: list, key: str | None = None) -> list:
     """Number columns of a CSV file that write_outputs wrote, in one pass.
 
-    Returns one list per name in columns, of that column's values as
-    floats, or with key, one dict per name from the key column's values
-    to them.
+    Returns one float64 array (array('d')) per name in columns, of that
+    column's values, or with key, one dict per name from the key column's
+    values to them.
 
     Raises:
         ParseError: naming the file and line: a header without the
@@ -653,13 +683,13 @@ def _read_metric_file(path, columns: list, key: str | None = None) -> list:
             for name in names:
                 if name not in header:
                     raise ParseError(f"{path}:1: no column {name!r} in the header")
-            values = [[] for _ in names]
+            values = [[] if name == key else array("d") for name in names]
             reads = [(name, header.index(name), kept.append, str if name == key else float)
                      for name, kept in zip(names, values)]
             try:
-                if len(reads) == 1:  # a comprehension reads one column faster
+                if len(reads) == 1:  # extend reads one column faster
                     name, at, _, convert = reads[0]
-                    values[0] = [convert(row[at]) for row in reader]
+                    values[0].extend(convert(row[at]) for row in reader)
                 else:
                     for row in reader:
                         for name, at, keep, convert in reads:
@@ -719,7 +749,7 @@ def compare_runs(manifest_a: RunManifest, manifest_b: RunManifest) -> list[Metri
                 # fits.csv has a row for each metric with a fit xmin
                 alpha_a=alpha_a.get(metric, math.nan),
                 alpha_b=alpha_b.get(metric, math.nan),
-                ks=ks_statistic(a, b),
+                ks=ks_statistic(np.frombuffer(a), np.frombuffer(b)),
             ))
     return rows
 

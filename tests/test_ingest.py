@@ -1,7 +1,9 @@
 import heapq
 import math
+import random
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -732,3 +734,114 @@ class TestSessionizerMatchesReference:
         assert ra.entropies == rb.entropies
         assert ra.tally == rb.tally
         assert a.out_of_order == b.out_of_order
+
+
+def picks(worker_type, log, timeout):
+    """The sid each record's referrer lookup found (None: no live session had it)."""
+    picked = []
+
+    class Recording(worker_type):
+        def _find_by_referrer(self, *args):
+            sess = super()._find_by_referrer(*args)
+            picked.append(None if sess is None else sess.sid)
+            return sess
+
+    worker = Recording(timeout)
+    for rec in log:
+        list(worker.feed(rec))
+    list(worker.finish())
+    return picked
+
+
+def random_log(seed, n=500):
+    """Three users over five pages: many live sessions share a url, and
+    one user's times tie, gap past the timeout and regress."""
+    rng = random.Random(seed)
+    pages = "ABCDE"
+    clock = {}
+    log = []
+    for _ in range(n):
+        user = rng.choice("uvw")
+        clock[user] = clock.get(user, 1000.0) + rng.choice(FORWARD_STEPS + REGRESSED_STEPS)
+        referrer = rng.choice([None, None, *pages, *pages, *pages, "unseen"])
+        log.append(LogRecord(clock[user], user, referrer, rng.choice(pages)))
+    return log
+
+
+class TestUrlIndexPicks:
+    # the url index must find, for every referrer, the session the scan
+    # of the reference finds; with no timeout, no session expires, so the
+    # unfixed reference's rule for regressed records cannot matter
+    @pytest.mark.parametrize("reference, timeout", [
+        (_ReferenceSessionizer, TIMEOUT), (_UnfixedReferenceSessionizer, math.inf)],
+        ids=["reference", "unfixed_reference"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_session_picked(self, reference, timeout, seed):
+        log = random_log(seed)
+        got = picks(Sessionizer, log, timeout)
+        assert got == picks(reference, log, timeout)
+        assert sum(sid is not None for sid in got) > len(log) // 4
+
+    def test_time_equal_to_a_sid_is_not_taken_for_it(self):
+        # session 3's pair for X holds time 5.0, and 5.0 == 5: session 5's
+        # write finds no pair of its own there, and drops nothing
+        log = records(*[(0, "u", None, f"R{i}") for i in range(6)],
+                      (4, "u", "R1", "X"), (5, "u", "R3", "X"), (6, "u", "R5", "X"),
+                      (7, "u", "X", "Y"))
+        worker = Sessionizer(TIMEOUT)
+        for rec in log:
+            worker.feed(rec)
+        assert worker._users["u"].url_index["X"] == [4.0, 1, 5.0, 3, 6.0, 5]
+        assert outputs(Sessionizer, log) == outputs(_ReferenceSessionizer, log)
+
+
+class TestLiveSessionsPeak:
+    def test_two_overlapping_sessions(self):
+        worker = Sessionizer()
+        worker.run(records((0, "u", None, "A"), (10, "u", None, "B"),
+                           (20, "u", "A", "C"), (5000, "u", None, "D")))
+        assert worker.live_sessions_peak == 2
+
+    def test_sessions_one_after_another(self):
+        worker = Sessionizer()
+        worker.run(records((0, "u", None, "A"), (5000, "u", None, "B"),
+                           (10000, "u", "B", "C")))
+        assert worker.live_sessions_peak == 1
+
+    def test_counted_over_all_users(self):
+        worker = Sessionizer()
+        for rec in records((0, "u", None, "A"), (1, "v", None, "A"),
+                           (5000, "u", None, "B")):
+            worker.feed(rec)
+        # v's session is open until a record of v or finish() closes it
+        assert worker.live_sessions_peak == 2
+        worker.finish()
+        assert worker.live_sessions_peak == 2
+
+    def test_in_the_ingest_manifest(self, tmp_path):
+        log = tmp_path / "requests.log"
+        log.write_text("0\tu\t-\tA\n10\tu\t-\tB\n20\tu\tA\tC\n5000\tu\t-\tD\n")
+        manifest = run_ingest(log, tmp_path / "out")
+        assert manifest["live_sessions_peak"] == "2"
+
+
+class TestSessionizerMemory:
+    # traced bytes of Sessionizer.run per line of a user-interleaved
+    # bookrank export (13,645 lines): 255 B with a {sid: time} dict per
+    # indexed url, a descriptor tuple per closed session and a float per
+    # line; 166 B with flat pairs, session columns and shared timestamps
+    BYTES_PER_LINE = 220
+
+    def test_run_peak_per_line(self):
+        graph = generate_scale_free(2000, 3, 2.1, seed=1)
+        sim = simulate(SimConfig(model="bookrank", n_agents=8, sessions=300, seed=7,
+                                 workers=1, export_log=True), graph=graph)
+        lines = sorted(sim.log_lines, key=lambda line: float(line.split("\t", 1)[0]))
+        tracemalloc.start()
+        try:
+            result = Sessionizer().run(parse_log(lines))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.descriptors) == 8 * 300
+        assert peak / len(lines) < self.BYTES_PER_LINE, (peak, len(lines))

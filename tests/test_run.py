@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tallies import id_key, tally_of
 from webnav import run as run_module
@@ -555,6 +558,54 @@ class TestRunSimulation:
         assert ing["mean_session_depth"] == manifest["mean_session_depth"]
         assert ing["mean_user_entropy"] == manifest["mean_user_entropy"]
         assert ing["records_out_of_order"] == "0"
+
+    def test_compare_means_are_sums_of_the_read_floats(self, tmp_path, graph):
+        out, a = run_to_dir(tmp_path, "a", 1, graph, export=True)
+        b = run_ingest(out / "requests.log", tmp_path / "b")
+        rows = {row.metric: row for row in compare_runs(a, b)}
+        for metric, (name, column, _) in run_module.METRIC_FILES.items():
+            for manifest, mean in ((a, rows[metric].mean_a), (b, rows[metric].mean_b)):
+                with open(manifest.out_dir / name, newline="") as fh:
+                    values = [float(row[column]) for row in csv.DictReader(fh)]
+                assert mean == sum(values) / len(values), metric  # bit for bit
+
+
+# keys as webnav writes them; values any text, edges and line breaks included
+manifest_keys = st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True)
+
+
+class TestManifestFile:
+    @given(st.dictionaries(manifest_keys, st.text(max_size=30), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_load_inverts_save(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run_manifest.txt"
+            RunManifest(values).save(path)
+            assert RunManifest.load(path).values == values
+
+    def test_plain_values_are_written_as_they_are(self, tmp_path, graph):
+        _, manifest = run_to_dir(tmp_path, "m", 1, graph)
+        assert manifest.path.read_text(encoding="utf-8") == "".join(
+            f"{key} = {value}\n" for key, value in manifest.values.items())
+
+    def test_escapes(self, tmp_path):
+        path = tmp_path / "m.txt"
+        RunManifest({"a": "x\\n\ny\r", "b": os.fsdecode(b"p\xe9"), "c": " q\t"}).save(path)
+        assert path.read_bytes() == (
+            b"a = x\\\\n\\ny\\r\nb = p\\udce9\nc = \\u0020q\\u0009\n")
+
+    # a log whose name holds a newline, or a byte that is not UTF-8
+    @pytest.mark.parametrize("name", ["a\nb.log", os.fsdecode(b"a\xe9.log")],
+                             ids=["newline", "not_utf8"])
+    def test_compare_reads_the_manifest_of_any_log_name(self, tmp_path, capsys, name):
+        log, out = tmp_path / name, tmp_path / "x"
+        log.write_text("0\tu\t-\t/a\n1\tu\t/a\t/b\n")
+        assert main(["ingest", str(log), "--out", str(out)]) == 0
+        manifest = out / "run_manifest.txt"
+        assert RunManifest.load(manifest)["log_path"] == str(log)
+        capsys.readouterr()
+        assert main(["compare", str(manifest), str(manifest)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCli:
