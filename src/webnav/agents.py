@@ -158,13 +158,10 @@ class BookmarkList:
         self._key[page] = key
 
 
-def bookmark_sample(bookmarks: BookmarkList, beta: float, rng: random.Random,
-                    table: ZipfRankTable | None = None):
-    """Draw a page from the list with rank probability R^-beta / Z_L."""
+def bookmark_sample(bookmarks: BookmarkList, table: ZipfRankTable, rng: random.Random):
+    """Draw a page from the list with rank probability R^-beta / Z_L, beta = table.beta."""
     if len(bookmarks) == 0:
         raise ValueError("cannot sample from an empty bookmark list")
-    if table is None or table.beta != beta:
-        table = ZipfRankTable(beta)
     return bookmarks.page_at_rank(table.sample_rank(len(bookmarks), rng))
 
 
@@ -174,8 +171,7 @@ class AgentState:
     __slots__ = ("agent_id", "rng", "current", "bookmarks", "zipf",
                  "energy", "history", "session_delta")
 
-    def __init__(self, agent_id: int, rng: random.Random,
-                 zipf: ZipfRankTable | None = None):
+    def __init__(self, agent_id: int, rng: random.Random, zipf: ZipfRankTable):
         self.agent_id = agent_id
         self.rng = rng
         self.current = None          # None until the first teleport
@@ -236,7 +232,7 @@ def bookrank_step(state: AgentState, graph, params: ModelParams) -> tuple[int, i
         state.current = v
         return TELEPORT, v
     if rng.random() < params.p_t:
-        v = bookmark_sample(state.bookmarks, params.beta, rng, state.zipf)
+        v = bookmark_sample(state.bookmarks, state.zipf, rng)
         state.bookmarks.touch(v)
         state.current = v
         return TELEPORT, v
@@ -262,7 +258,7 @@ def abc_step(state: AgentState, graph, params: ModelParams) -> tuple[int, int]:
         if state.current is None:
             v = rng.randrange(graph.n)
         else:
-            v = bookmark_sample(state.bookmarks, params.beta, rng, state.zipf)
+            v = bookmark_sample(state.bookmarks, state.zipf, rng)
         state.bookmarks.touch(v)
         state.current = v
         state.energy = params.e0

@@ -19,6 +19,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -161,10 +162,12 @@ class _UserState:
     tally: TrafficTally                             # the user's tallied requests
     last_time: float = -math.inf                    # previous record's timestamp
     next_sid: int = 0
-    sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
-    # url -> [t0, sid0, t1, sid1, ...]: each live session that requested the
-    # url, with its last request time, as flat pairs in (time, sid) order
+    # url -> [t0, session0, t1, session1, ...]: each live session that
+    # requested the url, with its last request time, as flat pairs in
+    # (time, sid) order
     url_index: dict = field(default_factory=dict)
+    # (time, sid, session), one entry per live session, keyed at or below
+    # its last activity: _finish closes the sessions it holds
     expiry_heap: list = field(default_factory=list)
     closed: int = 0
 
@@ -172,21 +175,25 @@ class _UserState:
 class Sessionizer:
     """Streaming session reconstruction.
 
+    Each user's live sessions are held by reference, in two places: an
+    expiry heap of (time, sid, session), one entry per live session, and
+    a url index from each url to the live sessions that requested it.
     tallies maps each user to a TrafficTally of the requests that count
     toward traffic and entropy; it outlives finish(). So memory grows with
     the log, not only with live sessions: tallies keeps every tallied
     request until the instance is dropped (about 17 B per line of an
     exported log, whose ids parse_log shares), besides about 1 KB per live
-    session with its url index entries (72 B for a url only it requested),
-    and run() keeps each closed session as one row of columns (about
-    50 B). out_of_order counts
+    session with its tree, heap entry and url index entries (72 B for a
+    url only it requested), and run() keeps each closed session as one
+    row of columns (about 50 B). out_of_order counts
     records whose timestamp is below that of their user's previous
     record. Such records are still assigned as usual, but never move
     their session's last activity backwards. live_sessions_peak is the
     most sessions held open at once, over all users: a session stays
     open until a record of its user, or finish(), finds it expired. One
     instance sessionizes one log: feed() after finish() raises
-    ProtocolError.
+    ProtocolError, and so does run() on an instance already fed or
+    finished.
 
     Raises:
         ConfigurationError: a timeout that is nan or negative.
@@ -221,12 +228,13 @@ class Sessionizer:
         user order, and the tallies one ArrayTally.
 
         Raises:
-            ProtocolError: the instance was already fed, by feed() or an
-                earlier run(); its tallies would hold that log's requests too.
+            ProtocolError: the instance was already fed or finished, by
+                feed(), finish() or an earlier run(); its tallies would hold
+                that log's requests too.
         """
-        if self.tallies:
+        if self._finished or self.tallies:
             raise ProtocolError("Sessionizer.run needs a fresh instance: "
-                                "this one was already fed")
+                                "this one was already fed or finished")
         closed = _ClosedSessions()
         add = closed.add
         feed = self._feed
@@ -271,8 +279,7 @@ class Sessionizer:
         """(user, index, tree) of every remaining session, users in id_order."""
         for user in id_order(self._users):
             state = self._users[user]
-            for sid in sorted(state.sessions):
-                sess = state.sessions[sid]
+            for _, _, sess in sorted(state.expiry_heap, key=itemgetter(1)):
                 yield user, self._close(state, sess), sess.tree
         self._users.clear()
         self._finished = True
@@ -286,25 +293,24 @@ class Sessionizer:
         closed = []
         heap = state.expiry_heap
         while heap and heap[0][0] < deadline:
-            t, sid = heapq.heappop(heap)
-            sess = state.sessions[sid]
+            t, sid, sess = heapq.heappop(heap)
             if sess.last_activity < deadline:
                 closed.append((self._close(state, sess), sess.tree))
-                del state.sessions[sid]
             else:
                 # got activity since the entry was queued; fire later
-                heapq.heappush(heap, (sess.last_activity, sid))
+                heapq.heappush(heap, (sess.last_activity, sid, sess))
         return closed
 
     def _close(self, state: _UserState, sess: _LiveSession) -> int:
         """De-index a session; returns its index among its user's sessions."""
         index = state.url_index
-        for url in sess.tree.depth:  # every url of the tree holds a pair of sid
+        for url in sess.tree.depth:  # every url of the tree holds a pair of sess
             entries = index[url]
             if len(entries) == 2:  # that pair alone
                 del index[url]
             else:
-                _drop(entries, sess.sid)
+                at = entries.index(sess)
+                del entries[at - 1:at + 1]
         self._live -= 1
         state.closed += 1
         return state.closed - 1
@@ -320,13 +326,11 @@ class Sessionizer:
             sid = state.next_sid
             state.next_sid += 1
             sess = _LiveSession(sid, open_session(state.tally, target), t)
-            state.sessions[sid] = sess
-            heapq.heappush(state.expiry_heap, (t, sid))
+            heapq.heappush(state.expiry_heap, (t, sid, sess))
             self._live += 1
             if self._live > self.live_sessions_peak:
                 self.live_sessions_peak = self._live
         else:
-            sid = sess.sid
             sess.tree.clicks += 1
             follow(state.tally, sess.tree, record.referrer, target)
             if t > sess.last_activity:
@@ -335,19 +339,23 @@ class Sessionizer:
         index = state.url_index
         entries = index.get(target)
         if entries is None:
-            index[target] = [t, sid]
+            index[target] = [t, sess]
             return
-        if entries[-1] == sid:  # its own pair is the last: update it in place
+        if entries[-1] is sess:  # its own pair is the last: update it in place
             entries[-2] = t
         else:
-            if sid in entries:  # a time equal to sid matches too: _drop tells them apart
-                _drop(entries, sid)
-            entries += (t, sid)
+            if sess in entries:  # a time never equals a session: only its own pair matches
+                at = entries.index(sess)
+                del entries[at - 1:at + 1]
+            entries += (t, sess)
         # appending kept (time, sid) order unless this write landed below
         # the last pair: a same-time tie won by an older session, or a
         # regressed timestamp
-        if len(entries) > 2 and (t < entries[-4] or (t == entries[-4] and sid < entries[-3])):
-            entries[:] = chain.from_iterable(sorted(zip(entries[::2], entries[1::2])))
+        if len(entries) > 2 and (t < entries[-4]
+                                 or (t == entries[-4] and sess.sid < entries[-3].sid)):
+            pairs = sorted(zip(entries[::2], entries[1::2]),
+                           key=lambda pair: (pair[0], pair[1].sid))
+            entries[:] = chain.from_iterable(pairs)
 
     @staticmethod
     def _find_by_referrer(state: _UserState, referrer: str):
@@ -359,18 +367,7 @@ class Sessionizer:
         has just closed and de-indexed those idle past the deadline.
         """
         entries = state.url_index.get(referrer)
-        return None if entries is None else state.sessions[entries[-1]]
-
-
-def _drop(entries: list, sid: int) -> None:
-    """Remove sid's (time, sid) pair from a url's flat pairs, if it has one.
-
-    Only the sid slots are compared: a time may equal a sid (5.0 == 5).
-    """
-    for at in range(len(entries) - 1, 0, -2):
-        if entries[at] == sid:
-            del entries[at - 1:at + 1]
-            return
+        return None if entries is None else entries[-1]
 
 
 class _ClosedSessions:

@@ -290,9 +290,7 @@ def _simulate_agent(agent_id: int, quota: int, model: str, graph: WebGraph,
 
 def _run_queue(queue: list[tuple[int, int]], model: str, graph: WebGraph,
                params: ModelParams, master_seed: int, export: bool,
-               max_clicks: int | None = None) -> QueueOutput:
-    # simulate always binds max_clicks; the None default serves only a
-    # direct call, whose recorders then read session.MAX_SESSION_CLICKS
+               max_clicks: int) -> QueueOutput:
     start = time.perf_counter()
     tallies = [TrafficTally() for _ in queue]  # one per agent
     zipf = ZipfRankTable(params.beta)

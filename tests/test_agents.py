@@ -131,7 +131,8 @@ class TestZipfSampling:
     def test_single_entry_always_rank_one(self):
         bl = build_list(["A"])
         rng = random.Random(1)
-        assert all(bookmark_sample(bl, 1.33, rng) == "A" for _ in range(20))
+        table = ZipfRankTable(1.33)
+        assert all(bookmark_sample(bl, table, rng) == "A" for _ in range(20))
 
     def test_rank_probabilities_two_entries(self):
         # direct normalization: P(rank 1) = 1 / (1 + 2^-1.33)
@@ -155,14 +156,14 @@ class TestZipfSampling:
         table = ZipfRankTable(1.33)
         rng = random.Random(99)
         n = 1_000_000
-        counts = Counter(bookmark_sample(bl, 1.33, rng, table) for _ in range(n))
+        counts = Counter(bookmark_sample(bl, table, rng) for _ in range(n))
         for page, p in zip("ABC", table.rank_probabilities(3)):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[page] - n * p) < 3 * sigma
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            bookmark_sample(BookmarkList(), 1.33, random.Random(0))
+            bookmark_sample(BookmarkList(), ZipfRankTable(1.33), random.Random(0))
 
 
 class TestPageRankStep:

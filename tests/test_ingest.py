@@ -5,6 +5,7 @@ import re
 import tempfile
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,7 @@ from tallies import str_columns, tally_counts
 from webnav import (ModelParams, SimConfig, TrafficTally, generate_scale_free,
                     parse_log, run_ingest, sessionize, simulate)
 from webnav.errors import ConfigurationError, EmptyDataError, ProtocolError
-from webnav.ingest import (SKIP_REASONS, LogRecord, ParseStats, Sessionizer,
-                           _LiveSession, _UserState)
+from webnav.ingest import SKIP_REASONS, LogRecord, ParseStats, Sessionizer, _LiveSession
 from webnav.session import ArrayTally, SessionDescriptor, follow, open_session
 
 
@@ -414,6 +414,16 @@ class TestSessionizerRun:
         with pytest.raises(ProtocolError, match="already fed"):
             worker.run(records((1, "u", "A", "B")))
 
+    @pytest.mark.parametrize("spent", [lambda worker: worker.run([]),
+                                       lambda worker: worker.finish()],
+                             ids=["after_empty_run", "after_bare_finish"])
+    def test_run_on_a_finished_instance_raises(self, spent):
+        # neither leaves a tally behind; the second run must still refuse
+        worker = Sessionizer()
+        spent(worker)
+        with pytest.raises(ProtocolError, match="Sessionizer.run needs a fresh instance"):
+            worker.run(records((0, "u", None, "A")))
+
     def test_re_requests_are_clicks(self):
         # a real log's re-requests of pages in the tree count as clicks,
         # so size s need not mean s - 1 clicks
@@ -535,6 +545,19 @@ class TestRoundTripProperty:
         assert str_columns(ing.tally) == str_columns(sim.tally)
 
 
+@dataclass
+class _ReferenceUserState:
+    """The reference's per-user state: live sessions found through their sids."""
+
+    tally: TrafficTally
+    last_time: float = -math.inf
+    next_sid: int = 0
+    sessions: dict = field(default_factory=dict)    # sid -> _LiveSession
+    url_index: dict = field(default_factory=dict)   # url -> {sid: time}
+    expiry_heap: list = field(default_factory=list)  # (time, sid)
+    closed: int = 0
+
+
 class _ReferenceSessionizer:
     """The Sessionizer before url_index kept (time, sid) order: every
     lookup scans all sessions that requested the referrer for the largest
@@ -555,7 +578,7 @@ class _ReferenceSessionizer:
     def feed(self, record):
         state = self._users.get(record.user)
         if state is None:
-            state = self._users[record.user] = _UserState(
+            state = self._users[record.user] = _ReferenceUserState(
                 self.tallies.setdefault(record.user, TrafficTally()))
         if record.timestamp < state.last_time:
             self.out_of_order += 1
@@ -736,6 +759,27 @@ class TestSessionizerMatchesReference:
         assert a.out_of_order == b.out_of_order
 
 
+class TestLiveSessionInvariants:
+    # _finish closes what the heaps hold, so each live session must have
+    # exactly one heap entry, and the url index may name no other session
+    @given(request_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_heaps_hold_each_live_session_once(self, log):
+        worker = Sessionizer(TIMEOUT)
+        for rec in log:
+            worker.feed(rec)
+            heaps = 0
+            for state in worker._users.values():
+                held = [sess for _, _, sess in state.expiry_heap]
+                assert len(set(held)) == len(held)
+                heaps += len(held)
+                assert {sess for entries in state.url_index.values()
+                        for sess in entries[1::2]} <= set(held)
+            assert heaps == worker._live
+        worker.finish()
+        assert worker._live == 0
+
+
 def picks(worker_type, log, timeout):
     """The sid each record's referrer lookup found (None: no live session had it)."""
     picked = []
@@ -791,7 +835,9 @@ class TestUrlIndexPicks:
         worker = Sessionizer(TIMEOUT)
         for rec in log:
             worker.feed(rec)
-        assert worker._users["u"].url_index["X"] == [4.0, 1, 5.0, 3, 6.0, 5]
+        entries = worker._users["u"].url_index["X"]
+        assert [(t, sess.sid) for t, sess in zip(entries[::2], entries[1::2])] == [
+            (4.0, 1), (5.0, 3), (6.0, 5)]
         assert outputs(Sessionizer, log) == outputs(_ReferenceSessionizer, log)
 
 

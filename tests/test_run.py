@@ -344,7 +344,8 @@ class TestSessionTable:
         # a per-session Python object (a descriptor tuple is ~20 B pickled)
         # in the 800 sessions below would overrun the 4 KiB slack
         queue = [(aid, 200) for aid in range(4)]
-        out = _run_queue(queue, "pagerank", graph, ModelParams(), 7, False)
+        out = _run_queue(queue, "pagerank", graph, ModelParams(), 7, False,
+                         session_module.MAX_SESSION_CLICKS)
         buffers = (sum(a.nbytes for columns, counts in out.tally.columns()
                        for a in (*columns, counts))
                    + sum(column.nbytes for table in out.sessions
