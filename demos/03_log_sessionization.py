@@ -25,9 +25,10 @@ records = list(parse_log(LOG.splitlines(), strip_query=True))
 print(f"parsed {len(records)} requests from 2 users")
 
 result = Sessionizer(timeout=1800).run(records)
+names = result.names  # the log's ids: code i stands for names[i]
 print(f"reconstructed {result.total_sessions} sessions:\n")
 for d in result.descriptors:
-    print(f"  {d.user:<6} session {d.index}: root={d.root:<28} "
+    print(f"  {names[d.user]:<6} session {d.index}: root={names[d.root]:<28} "
           f"size={d.size} depth={d.depth} clicks={d.clicks}")
 
 print("""
@@ -35,5 +36,5 @@ Notes: alice's news and wiki trees grow in parallel; the ?page=2 request
 collapses onto the stripped URL already in the news tree (no new node);
 the click at t=2500 arrives 2430s after the wiki tree's last request, so
 it starts a fresh session instead of attaching.""")
-(pages,), visits = result.tally.columns()[0]  # URLs, in string order
-print(f"page traffic: {dict(zip(pages, visits.tolist()))}")
+(pages,), visits = result.tally.columns()[0]  # URL codes, in string order
+print(f"page traffic: {dict(zip((names[p] for p in pages.tolist()), visits.tolist()))}")

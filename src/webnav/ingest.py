@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtocolError, not_utf8
 from .session import (ArrayTally, RunResult, SessionDescriptor, SessionTable,
-                      SessionTree, TrafficTally, _id_column, entropy_row, follow,
-                      id_order, open_session)
+                      SessionTree, TrafficTally, entropy_row, follow, id_order,
+                      open_session)
 
 DEFAULT_TIMEOUT = 1800.0  # seconds of inactivity that end a session
 EMPTY_REFERRER = "-"
@@ -179,7 +179,8 @@ class Sessionizer:
     expiry heap of (time, sid, session), one entry per live session, and
     a url index from each url to the live sessions that requested it.
     tallies maps each user to a TrafficTally of the requests that count
-    toward traffic and entropy; it outlives finish(). So memory grows with
+    toward traffic and entropy; it outlives finish(), and after run() its
+    columns hold codes into the result's names. So memory grows with
     the log, not only with live sessions: tallies keeps every tallied
     request until the instance is dropped (about 17 B per line of an
     exported log, whose ids parse_log shares), besides about 1 KB per live
@@ -222,10 +223,13 @@ class Sessionizer:
     def run(self, records: Iterable[LogRecord]) -> RunResult:
         """Sessionize a whole record stream: feed every record, then finish.
 
-        The session table comes sorted by (user, index), users in
-        id_order, whatever the interleaving of users' records; as in
-        simulate, each user's tally becomes an entropy row, in the same
-        user order, and the tallies one ArrayTally.
+        Then the log's ids are coded: the result's names are its users
+        and tallied URLs in id_order, and each id's rank there is its code,
+        which the tallies and the session table hold from then on. The
+        table comes sorted by (user, index), users in id_order, whatever
+        the interleaving of users' records; as in simulate, each user's
+        tally becomes an entropy row, in the same user order, and the
+        tallies one ArrayTally.
 
         Raises:
             ProtocolError: the instance was already fed or finished, by
@@ -246,14 +250,25 @@ class Sessionizer:
         for user, index, tree in self._finish():
             add(user, index, tree)
         tallies = self.tallies
+        # every ref is a page its session already tallied, so the users and
+        # the dst columns name every id; a dict holds them in less than a set
+        names = id_order(dict.fromkeys(chain(tallies, chain.from_iterable(
+            tally.dst for tally in tallies.values()))))
+        code = dict(zip(names, range(len(names))))
+        code[None] = None  # a session root's referrer
+        for tally in tallies.values():
+            tally.ref[:] = map(code.__getitem__, tally.ref)
+            tally.dst[:] = map(code.__getitem__, tally.dst)
+        closed.user, closed.root = (array("q", map(code.__getitem__, ids))
+                                    for ids in (closed.user, closed.root))
+        del code
         # counted before the table and the entropy rows are built: the
         # roundtrip benchmark's peak RSS reads lower so (BENCH_29.json)
         tally = ArrayTally.of(*tallies.values())
-        users = id_order(tallies)
-        sessions = closed.table(dict(zip(users, range(len(users)))))
+        sessions = closed.table()
         del closed
-        entropies = [entropy_row(user, tallies[user]) for user in users]
-        return RunResult(sessions, tally, entropies)
+        entropies = [entropy_row(user, tallies[user]) for user in id_order(tallies)]
+        return RunResult(sessions, tally, entropies, names=names)
 
     def _feed(self, record: LogRecord) -> list:
         """Assign one record; returns (index, tree) of the sessions it expired."""
@@ -371,7 +386,10 @@ class Sessionizer:
 
 
 class _ClosedSessions:
-    """Closed sessions' descriptor fields as columns, in closing order."""
+    """Closed sessions' descriptor fields as columns, in closing order.
+
+    user and root hold the log's ids until run() swaps in their codes.
+    """
 
     __slots__ = SessionDescriptor._fields
 
@@ -387,20 +405,15 @@ class _ClosedSessions:
         self.depth.append(tree.max_depth)
         self.clicks.append(tree.clicks)
 
-    def table(self, rank: dict) -> SessionTable:
-        """The sessions as a table in user rank order.
+    def table(self) -> SessionTable:
+        """The coded sessions as a table in user code order.
 
         The sort is stable, and each user's sessions close in index
         order, so the rows come sorted by (user, index).
         """
-        order = np.argsort(np.fromiter(map(rank.__getitem__, self.user), np.int64,
-                                       len(self.user)), kind="stable")
-        picked = order.tolist()
-        user, root = ([ids[at] for at in picked] for ids in (self.user, self.root))
-        index, size, depth, clicks = (np.frombuffer(column, np.int64)[order]
-                                      for column in (self.index, self.size,
-                                                     self.depth, self.clicks))
-        return SessionTable(_id_column(user), index, _id_column(root), size, depth, clicks)
+        order = np.argsort(np.frombuffer(self.user, np.int64), kind="stable")
+        return SessionTable(*(np.frombuffer(getattr(self, name), np.int64)[order]
+                              for name in self.__slots__))
 
 
 def sessionize(records: Iterable[LogRecord],

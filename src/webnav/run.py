@@ -33,7 +33,7 @@ from .graph import WebGraph, generate_scale_free, load_edge_list
 from .ingest import DEFAULT_TIMEOUT, ParseStats, Sessionizer, parse_log
 from .metrics import fit_power_law, histogram, ks_statistic
 from .session import (ArrayTally, RunResult, SessionRecorder, SessionTable,
-                      TrafficTally, column_list, count_clicks, entropy_row)
+                      TrafficTally, count_clicks, entropy_row)
 
 EXPORT_BASE_TIME = 1_000_000_000  # synthetic epoch for exported logs
 EXPORT_LOG_NAME = "requests.log"
@@ -366,7 +366,7 @@ def simulate(config: SimConfig, graph: WebGraph | None = None) -> RunResult:
              "time.queue_tail_s": (time.perf_counter()
                                    - max(out.end for out in outputs)),
              "time.merge_s": merge_s}
-    return RunResult(sessions, tally, entropies, log_lines, times)
+    return RunResult(sessions, tally, entropies, log_lines, times=times)
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +391,23 @@ def _write_csv(path, header, rows):
 _WRITE_CHUNK = 1 << 15
 
 
-def _write_columns_csv(path, header, columns):
-    """One row per position of the columns, which share one length.
+def _write_columns_csv(path, header, columns, names=None, ids=()):
+    """One row per position of the int64 columns, which share one length.
 
-    Integer-array columns are written by one %-format per chunk of rows,
-    which gives the bytes csv.writer would; when any column is not an
-    array (ids from a log), the rows go through csv.writer, which quotes.
+    Without names, each chunk of rows is written by one %-format, which
+    gives the bytes csv.writer would. With names, an ingested log's
+    vocabulary, the columns at the positions ids hold codes into it, and
+    the rows go through csv.writer, which quotes, each code read as
+    names[code] as its row is written: no column is mapped whole.
     """
     with open(path, "wt", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if not all(isinstance(c, np.ndarray) for c in columns):
-            writer.writerows(zip(*map(column_list, columns)))
+        if names is not None:
+            # a memoryview yields its values as ints, one at a time
+            writer.writerows(zip(*(
+                map(names.__getitem__, memoryview(column)) if at in ids
+                else memoryview(column) for at, column in enumerate(columns))))
             return
         line = ",".join(["%d"] * len(columns)) + "\n"
         for lo in range(0, columns[0].size, _WRITE_CHUNK):
@@ -431,13 +436,16 @@ def _fit_row(metric, samples: np.ndarray, xmin):
 
 
 def write_outputs(out_dir, sessions: SessionTable, tally: ArrayTally,
-                  entropies, click_lengths) -> dict:
+                  entropies, click_lengths, names=None) -> dict:
     """Write the six descriptor streams, distributions, and fit summaries.
 
     session_clicks.csv is counted from sessions.clicks; click_lengths, a
     {clicks: sessions} dict as RunResult.click_lengths gives, must agree
-    with it. Returns manifest entries: metric name -> file name plus
-    summary stats.
+    with it. names is RunResult.names: None for a simulation, whose ids
+    are written as they are, or an ingested log's vocabulary, through
+    which the id columns (users, roots, pages) are written as the log's
+    strings. Returns manifest entries: metric name -> file name, and
+    time.fits_s, the seconds spent fitting.
 
     Raises:
         DataError: click_lengths disagrees with sessions.clicks; no file
@@ -453,13 +461,13 @@ def write_outputs(out_dir, sessions: SessionTable, tally: ArrayTally,
     _write_columns_csv(out / "sessions.csv",
                        ["user_id", "session_index", "root", "size", "depth"],
                        (sessions.user, sessions.index, sessions.root,
-                        sessions.size, sessions.depth))
+                        sessions.size, sessions.depth), names, (0, 2))
     _write_columns_csv(out / "page_traffic.csv", ["page", "count"],
-                       (*pages[0], pages[1]))
+                       (*pages[0], pages[1]), names, (0,))
     _write_columns_csv(out / "link_traffic.csv", ["src", "dst", "count"],
-                       (*links[0], links[1]))
+                       (*links[0], links[1]), names, (0, 1))
     _write_columns_csv(out / "empty_referrer_traffic.csv", ["page", "count"],
-                       (*starts[0], starts[1]))
+                       (*starts[0], starts[1]), names, (0,))
     _write_csv(out / "entropy.csv", ["user_id", "entropy_bits", "tallied_visits"],
                ((user, _fmt(s), visits) for user, s, visits in entropies))
     _write_csv(out / "session_clicks.csv", ["clicks", "count"], lengths.items())
@@ -473,15 +481,18 @@ def write_outputs(out_dir, sessions: SessionTable, tally: ArrayTally,
     }
     for metric, values in samples.items():
         _write_distribution_csv(out / f"dist_{metric}.csv", values)
-    _write_csv(out / "fits.csv", ["metric", "alpha", "xmin", "n_tail", "stderr"],
-               (_fit_row(metric, values, METRIC_FILES[metric][2])
-                for metric, values in samples.items()))
+    fits_start = time.perf_counter()
+    fits = [_fit_row(metric, values, METRIC_FILES[metric][2])
+            for metric, values in samples.items()]
+    fits_s = time.perf_counter() - fits_start
+    _write_csv(out / "fits.csv", ["metric", "alpha", "xmin", "n_tail", "stderr"], fits)
 
     entries = {f"file.{m}": METRIC_FILES[m][0] for m in METRIC_FILES}
     entries["file.session_clicks"] = "session_clicks.csv"
     entries["file.fits"] = "fits.csv"
     for metric in samples:
         entries[f"file.dist_{metric}"] = f"dist_{metric}.csv"
+    entries["time.fits_s"] = fits_s
     return entries
 
 
@@ -558,19 +569,20 @@ def _write_run(out_dir, command: str, items: dict, result: RunResult,
 
     The manifest holds the command, the caller's items, the result's
     summary, the wall time since started, the caller's stage_times
-    (time.<stage>_s), time.write_s, the caller's later timings, rates
-    and peak RSS after each stage, the peak RSS, then the names of the
-    files.
+    (time.<stage>_s), time.fits_s, time.write_s (fits included), the
+    caller's later timings, rates and peak RSS after each stage, the
+    peak RSS, then the names of the files.
     """
     out = Path(out_dir)
     write_start = time.perf_counter()
     entries = write_outputs(out, result.descriptors, result.tally,
-                            result.entropies, result.click_lengths)
+                            result.entropies, result.click_lengths, result.names)
     if result.log_lines is not None:
         with open(out / EXPORT_LOG_NAME, "wt", encoding="utf-8", newline="\n") as fh:
             fh.writelines(result.log_lines)
         entries["file.request_log"] = EXPORT_LOG_NAME
-    measured = {**stage_times, "time.write_s": time.perf_counter() - write_start,
+    measured = {**stage_times, "time.fits_s": entries.pop("time.fits_s"),
+                "time.write_s": time.perf_counter() - write_start,
                 **later, "peak_rss_mb": _peak_rss_mb(),
                 "peak_rss_mb.children": _peak_rss_mb(resource.RUSAGE_CHILDREN)}
     values = {"tool": f"webnav {__version__}", "command": command, **items}

@@ -98,9 +98,10 @@ class TrafficTally:
     ref holds each request's referrer, None for a session root, and dst
     its target: the session roots and first-visit clicks a browser
     issues, since back clicks and revisits come from cache. Lists, so
-    any hashable pages count, with no graph behind them. Each user gets
-    their own tally, fed by open_session and follow; ArrayTally.of counts
-    a run's tallies once, entropy_row reads a user's, and an exporting
+    any hashable pages count, with no graph behind them: a log's strs
+    until Sessionizer.run codes them. Each user gets their own tally, fed
+    by open_session and follow; ArrayTally.of counts a run's tallies of
+    integer ids once, entropy_row reads a user's, and an exporting
     simulation writes its log lines from the columns.
     """
 
@@ -117,16 +118,16 @@ class TrafficTally:
 
 
 class ArrayTally:
-    """Page, link and session-start counts as key columns and int64 counts.
+    """Page, link and session-start counts as int64 key columns and counts.
 
     The tally of every RunResult: simulate's workers and the Sessionizer
     record each user into a TrafficTally and hand on ArrayTally.of(*them).
     The three pairs are columns() as stored: pages and starts keyed by one
     column of page ids, links by two (src, dst), rows in key order with
     unique keys, and page_visits, link_visits and session_starts their
-    counts. Integer ids are int64 arrays in [0, 2**31) with no graph
-    behind them, so any two such tallies merge; a log's string ids are
-    lists, as in SessionTable.
+    counts. Every column is an int64 array, ids in [0, 2**31) with no
+    graph behind them, so any two tallies merge: a simulation's ids are
+    its pages, an ingested log's are codes into RunResult.names.
     """
 
     __slots__ = ("page_keys", "page_visits", "link_keys", "link_visits",
@@ -139,50 +140,36 @@ class ArrayTally:
 
     @classmethod
     def of(cls, *tallies: TrafficTally) -> "ArrayTally":
-        """The counts of TrafficTallies whose pages are integer or string ids.
+        """The counts of TrafficTallies whose pages are integer ids.
 
         Pages are counted from dst, starts from the dst of requests whose
         ref is None, and links from the other (ref, dst) pairs. The ids
-        are read from the tallies' columns straight into int64 arrays.
-        Integer ids give int64 key arrays; operator.index refuses a str,
-        so no decimal string id reads as a number. String ids are counted
-        as their codes in one vocabulary in id_order, so they give lists
-        of the same strs, in that order. Each row is counted by one int64
-        key of fixed width: a page or start its id, a link src << 31 | dst.
+        are read from the tallies' columns straight into one int64 array;
+        operator.index refuses a str, so no decimal string id reads as a
+        number. Each row is counted by one int64 key of fixed width: a
+        page or start its id, a link src << 31 | dst.
 
         Raises:
-            DataError: an integer id outside [0, 2**31), or ids neither all
-                integers nor all strings.
+            DataError: an id that is not an integer, or one outside
+                [0, 2**31).
         """
         size = sum(len(tally.dst) for tally in tallies)
         linked = np.fromiter(map(operator.is_not,
                                  chain.from_iterable(tally.ref for tally in tallies),
                                  repeat(None)), bool, size)
         count = size + int(np.count_nonzero(linked))
-        names = None
         try:
             ids = np.fromiter(map(operator.index, _ids(tallies)), np.int64, count)
-            _check_ids(ids)
         except OverflowError:
             raise DataError("tally ids must lie in [0, 2**31)") from None
-        except TypeError:  # not integers: a log's string ids
-            if set(map(type, _ids(tallies))) != {str}:
-                raise DataError("tally ids must be all integers or all strings") from None
-            names = id_order(set(_ids(tallies)))
-            code = dict(zip(names, range(len(names))))
-            names = np.array(names, object)
-            ids = np.fromiter(map(code.__getitem__, _ids(tallies)), np.int64, count)
-            del code  # the vocabulary's dict goes before the counting
+        except TypeError:
+            raise DataError("tally ids must be integers") from None
+        _check_ids(ids)
         dst, src = ids[:size], ids[size:]
         links = _counted_rows((src, dst[linked]))
         starts = _counted_rows((dst[~linked],))
         pages = _counted_rows((dst,))  # last: sorts dst in place
-        del ids, dst, src, linked
-        rows = (pages, links, starts)
-        if names is not None:  # codes back to the ids they stand for
-            rows = ((tuple(names[column].tolist() for column in columns), counts)
-                    for columns, counts in rows)
-        return cls(*rows)
+        return cls(pages, links, starts)
 
     def columns(self) -> tuple:
         """(pages, links, starts), each (key columns, counts), rows in key order."""
@@ -194,7 +181,7 @@ class ArrayTally:
         if not isinstance(other, ArrayTally):
             return NotImplemented
         # key columns, then counts, of pages, links and starts in turn
-        return all(column_list(a) == column_list(b)
+        return all(np.array_equal(a, b)
                    for (keys, counts), (other_keys, other_counts)
                    in zip(self.columns(), other.columns())
                    for a, b in zip((*keys, counts), (*other_keys, other_counts)))
@@ -210,14 +197,11 @@ class ArrayTally:
         other is left an empty tally.
 
         Raises:
-            DataError: either tally has string ids (ingest never merges), a
-                key outside [0, 2**31), or rows out of key order or repeating
-                a key. Every pair is checked before any moves, so neither
-                tally changes then.
+            DataError: a key outside [0, 2**31), or rows out of key order or
+                repeating a key. Every pair is checked before any moves, so
+                neither tally changes then.
         """
         for keys, _ in chain(self.columns(), other.columns()):
-            if not isinstance(keys[0], np.ndarray):
-                raise DataError("a tally of string ids does not merge")
             _check_ids(*keys)
             key = _flat_key(keys)
             if not (key[1:] > key[:-1]).all():
@@ -378,11 +362,10 @@ def entropy_row(user, tally: TrafficTally) -> tuple:
 class SessionTable:
     """The sessions of a run, one row per session, as columns.
 
-    Columns are the SessionDescriptor fields. index, size, depth and
-    clicks are int64 arrays; user and root are int64 arrays for a
-    simulated run and lists for an ingested one, whose ids are strings.
-    The table iterates as SessionDescriptor rows and pickles as its
-    columns.
+    Columns are the SessionDescriptor fields, each an int64 array: user
+    and root are a simulation's ids, or codes into RunResult.names for an
+    ingested log. The table iterates as SessionDescriptor rows and
+    pickles as its columns.
     """
 
     __slots__ = SessionDescriptor._fields
@@ -397,11 +380,14 @@ class SessionTable:
 
     @classmethod
     def from_rows(cls, rows: list) -> "SessionTable":
-        """A table of descriptor rows; user and root as _id_column gives them."""
-        user, index, root, size, depth, clicks = (
-            zip(*rows) if rows else ((),) * len(SessionDescriptor._fields))
-        return cls(_id_column(user), _int64(index), _id_column(root),
-                   _int64(size), _int64(depth), _int64(clicks))
+        """A table of descriptor rows of integer fields.
+
+        Raises:
+            TypeError: a field that is not an integer, such as a str id.
+        """
+        columns = zip(*rows) if rows else ((),) * len(SessionDescriptor._fields)
+        return cls(*(np.fromiter(map(operator.index, column), np.int64, len(column))
+                     for column in columns))
 
     @property
     def columns(self) -> tuple:
@@ -412,46 +398,33 @@ class SessionTable:
         return len(self.index)
 
     def __iter__(self) -> Iterator[SessionDescriptor]:
-        return map(SessionDescriptor._make, zip(*map(column_list, self.columns)))
+        return map(SessionDescriptor._make,
+                   zip(*(column.tolist() for column in self.columns)))
 
     def __eq__(self, other):
         if not isinstance(other, SessionTable):
             return NotImplemented
-        return all(column_list(a) == column_list(b)
-                   for a, b in zip(self.columns, other.columns))
+        return all(map(np.array_equal, self.columns, other.columns))
 
     def __reduce__(self):
         return SessionTable, self.columns
 
 
-def _int64(values) -> np.ndarray:
-    return np.fromiter(values, np.int64, len(values))
-
-
-def _id_column(ids: tuple):
-    """Integer ids as an int64 array, any other ids as a list.
-
-    operator.index refuses a str, so a decimal string id stays a str.
-    """
-    try:
-        return np.fromiter(map(operator.index, ids), np.int64, len(ids))
-    except TypeError:
-        return list(ids)
-
-
-def column_list(column) -> list:
-    """A table column as a list: arrays convert, lists pass through."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
 @dataclass
 class RunResult:
-    """In-memory outcome of a run, simulated or ingested from a log."""
+    """In-memory outcome of a run, simulated or ingested from a log.
+
+    Every id in descriptors and tally is an int64. An ingested log's is a
+    code i into names, its users and tallied URLs in id_order, and
+    names[i] is the id as the log spells it; names is None for a
+    simulation. The entropy rows hold each user's own id.
+    """
 
     descriptors: SessionTable       # sorted by (user, session index), id_order
     tally: ArrayTally
     entropies: list         # entropy_row per user, users in id_order
     log_lines: list | None = None   # the exported request log, if any
+    names: list | None = None       # an ingested log's ids, by code
     # manifest-only timings of producing the result: time.<stage>_s -> s
     times: dict = field(default_factory=dict, compare=False)
 

@@ -56,7 +56,7 @@ from webnav import (ModelParams, SimConfig, TrafficTally, abc_step,
 from webnav.agents import BACK, FORWARD, TELEPORT, BookmarkList
 from webnav.ingest import Sessionizer
 from webnav.metrics import zipf_samples
-from webnav.session import SessionRecorder, column_list
+from webnav.session import SessionRecorder
 
 DESK_GRAPH = dict(n=100_000, m=3, gamma=2.1, seed=1)
 DESK_AGENTS = 1000
@@ -237,15 +237,16 @@ def test_criterion_7_roundtrip_oracle():
     descs, tally = ingested.descriptors, ingested.tally
 
     # row by row: both pipelines write ids in one order
-    def keys(table):
-        return ([str(u) for u in column_list(table.user)], table.index.tolist(),
-                [str(r) for r in column_list(table.root)])
+    def keys(table, names):
+        def ids(column):
+            return [str(i if names is None else names[i]) for i in column.tolist()]
+        return ids(table.user), table.index.tolist(), ids(table.root)
 
-    keys_ok = keys(descs) == keys(sim.descriptors)
+    keys_ok = keys(descs, ingested.names) == keys(sim.descriptors, sim.names)
     sizes_ok = descs.size.tolist() == sim.descriptors.size.tolist()
     depths_ok = descs.depth.tolist() == sim.descriptors.depth.tolist()
     pages_ok, links_ok, starts_ok = (
-        got == want for got, want in zip(str_columns(tally),
+        got == want for got, want in zip(str_columns(tally, ingested.names),
                                          str_columns(sim.tally)))
     ok = keys_ok and sizes_ok and depths_ok and pages_ok and links_ok and starts_ok
     report(7, "roundtrip-oracle", ok,

@@ -23,6 +23,9 @@ def test_demo_exits_cleanly(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if demo.stem == "03_log_sessionization":
+        # the log's ids, read through result.names, not their codes
+        assert "root=http://news.example/" in proc.stdout
 
 
 def test_readme_example_runs(tmp_path):

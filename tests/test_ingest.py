@@ -1,3 +1,4 @@
+import csv
 import heapq
 import math
 import random
@@ -8,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from webnav import (ModelParams, SimConfig, TrafficTally, generate_scale_free,
                     parse_log, run_ingest, sessionize, simulate)
 from webnav.errors import ConfigurationError, EmptyDataError, ProtocolError
 from webnav.ingest import SKIP_REASONS, LogRecord, ParseStats, Sessionizer, _LiveSession
-from webnav.session import ArrayTally, SessionDescriptor, follow, open_session
+from webnav.session import ArrayTally, SessionDescriptor, follow, id_order, open_session
 
 
 def records(*rows):
@@ -294,6 +296,31 @@ class TestSessionize:
             b'user_id,session_index,root,size,depth\n'
             b'"u,1",0,"/a,b",2,1\nv,0,"/say ""hi""",1,0\n')
 
+    def test_one_vocabulary_writes_the_logs_exact_ids_in_id_order(self, tmp_path):
+        # user 5 requests page 5, one url holds a comma and a quote, and the
+        # decimal ids 9 < 10 < 007 come before a: each file must hold the
+        # log's exact strings, rows in id_order, whatever column shares a
+        # code with which
+        log = tmp_path / "requests.log"
+        log.write_text('0\t5\t-\t5\n1\t5\t5\t/x,"y"\n2\t9\t-\t10\n'
+                       '3\t9\t10\t007\n4\t10\t-\ta\n5\ta\t-\t9\n6\t007\t-\t007\n')
+        run_ingest(log, tmp_path / "out")
+
+        def rows(name):
+            with open(tmp_path / "out" / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))[1:]
+
+        assert rows("sessions.csv") == [
+            ["5", "0", "5", "2", "1"], ["9", "0", "10", "2", "1"],
+            ["10", "0", "a", "1", "0"], ["007", "0", "007", "1", "0"],
+            ["a", "0", "9", "1", "0"]]
+        assert rows("page_traffic.csv") == [
+            ["5", "1"], ["9", "1"], ["10", "1"], ["007", "2"], ['/x,"y"', "1"],
+            ["a", "1"]]
+        assert rows("link_traffic.csv") == [["5", '/x,"y"', "1"], ["10", "007", "1"]]
+        assert rows("empty_referrer_traffic.csv") == [
+            ["5", "1"], ["9", "1"], ["10", "1"], ["007", "1"], ["a", "1"]]
+
     def test_regressed_record_does_not_age_its_session(self):
         # the regressed C must not pull the session's last activity below
         # 1000, or D (1400 s after it) would find the session expired
@@ -391,8 +418,9 @@ class TestSessionizerRun:
         result = Sessionizer().run(records((0, "u", None, "A")))
         assert [(d.size, d.depth) for d in result.descriptors] == [(1, 0)]
         assert result.entropies == [("u", 0.0, 1)]
-        assert (result.tally.page_keys, result.tally.page_visits.tolist()) == (
-            (["A"],), [1])
+        assert result.names == ["A", "u"]
+        assert (result.tally.page_keys[0].tolist(), result.tally.page_visits.tolist()) == (
+            [0], [1])
 
     def test_rerun_of_one_log_gives_an_equal_result(self):
         log = records((0, "u", None, "A"), (1, "u", "A", "B"), (2, "v", None, "A"))
@@ -482,10 +510,14 @@ class TestSessionizerRun:
 def session_rows(result) -> list:
     """(user, index, root, size, depth) of each session, in order, ids as strs.
 
-    clicks is left out: the simulation also counts back clicks and cache
-    hits, which the log does not hold.
+    An ingested result's ids are read through its names. clicks is left
+    out: the simulation also counts back clicks and cache hits, which the
+    log does not hold.
     """
-    return [(str(d.user), d.index, str(d.root), d.size, d.depth)
+    def name(i):
+        return str(i if result.names is None else result.names[i])
+
+    return [(name(d.user), d.index, name(d.root), d.size, d.depth)
             for d in result.descriptors]
 
 
@@ -501,7 +533,24 @@ class TestRoundTrip:
 
         # in order: both pipelines write ids in one order
         assert session_rows(ingested) == session_rows(sim)
-        assert str_columns(ingested.tally) == str_columns(sim.tally)
+        assert str_columns(ingested.tally, ingested.names) == str_columns(sim.tally)
+
+    def test_every_column_is_int64(self):
+        graph = generate_scale_free(2000, 3, 2.1, seed=11)
+        sim = simulate(SimConfig(model="bookrank", n_agents=5, sessions=30, seed=3,
+                                 export_log=True), graph=graph)
+        ingested = Sessionizer().run(parse_log(sim.log_lines))
+        for result in (sim, ingested):
+            columns = [*result.descriptors.columns,
+                       *(c for keys, counts in result.tally.columns()
+                         for c in (*keys, counts))]
+            assert len(columns) == 6 + 7
+            for column in columns:
+                assert isinstance(column, np.ndarray) and column.dtype == np.int64
+        assert sim.names is None
+        # the codes index the vocabulary, which is in id_order
+        assert ingested.names == id_order(ingested.names)
+        assert int(ingested.descriptors.user.max()) < len(ingested.names)
 
     def test_mean_user_entropy_same_as_simulated(self):
         # the README example: the rows come in the simulation's user order
@@ -542,7 +591,7 @@ class TestRoundTripProperty:
         # in order: both pipelines write ids in one order
         assert session_rows(ing) == session_rows(sim)
         assert ing.entropies == [(str(u), s, n) for u, s, n in sim.entropies]
-        assert str_columns(ing.tally) == str_columns(sim.tally)
+        assert str_columns(ing.tally, ing.names) == str_columns(sim.tally)
 
 
 @dataclass

@@ -409,32 +409,18 @@ class TestArrayTally:
             tallies[0].merge(tallies[1])
         assert tallies == before
 
-    def test_string_ids_stay_strings_in_id_order(self):
-        # decimal "9" before "10", as the simulation writes 9 before 10
-        tally = tally_of(["9", "10", "10"],
-                         [("9", "10"), ("10", "9"), ("10", "9"), ("10", "9")])
-        pages, links, starts = ArrayTally.of(tally).columns()
-        assert pages[0] == (["9", "10"],) and pages[1].tolist() == [4, 3]
-        assert links[0] == (["9", "10"], ["10", "9"])
-        assert links[1].tolist() == [1, 3]
-        assert starts[0] == (["9", "10"],) and starts[1].tolist() == [1, 2]
-
     @pytest.mark.parametrize("starts, links", [
         ((1,), (("a", "b"),)), (("a",), ((1, 2),)),
         ((), ((0, 1), ("a", "b"))), ((), (("a", 1),)),
-        (("10", 9), ()), ((1.5,), ())],
+        (("10", 9), ()), ((1.5,), ()), (("9", "10"), (("9", "10"),))],
         ids=["page_int_first", "page_str_first", "links", "one_link",
-             "decimal_start", "float"])
+             "decimal_start", "float", "strings"])
     def test_ids_not_all_integers_or_all_strings_raise(self, starts, links):
+        # any id that is not an integer raises, a log's all-string ids too:
+        # Sessionizer.run codes those before it counts them
         tally = tally_of(starts, links)
-        with pytest.raises(DataError, match="all integers or all strings"):
+        with pytest.raises(DataError, match="tally ids must be integers"):
             ArrayTally.of(tally)
-
-    def test_merge_of_string_ids_raises(self):
-        strings, ints = tally_of(["A"]), tally_of([0])
-        for a, b in ((strings, ints), (ints, strings), (strings, strings)):
-            with pytest.raises(DataError, match="string ids"):
-                ArrayTally.of(a).merge(ArrayTally.of(b))
 
     def test_equal_counts_compare_equal(self, graph):
         tally = walked_tally(graph)
@@ -442,8 +428,6 @@ class TestArrayTally:
         assert a == b and a is not b
         b.link_visits[-1] += 1
         assert a != b
-        ints, strings = tally_of([1]), tally_of(["1"])
-        assert ArrayTally.of(ints) != ArrayTally.of(strings)
 
 
 class TestIdOrder:
@@ -607,20 +591,13 @@ tally_id = st.one_of(st.integers(0, 20), st.integers(0, 10**5))
 
 class TestCountingProperty:
     @given(st.lists(tally_id, max_size=40),
-           st.lists(st.tuples(tally_id, tally_id), max_size=40), st.booleans())
+           st.lists(st.tuples(tally_id, tally_id), max_size=40))
     @settings(max_examples=300, deadline=None)
-    def test_counts_equal_sorted_counter_rows(self, starts, links, as_strings):
+    def test_counts_equal_sorted_counter_rows(self, starts, links):
         expected = sorted_columns((Counter(starts + [dst for _, dst in links]),
                                    Counter(links), Counter(starts)))
-        if as_strings:  # a log's ids: the integer rows as strs, in their order
-            starts = list(map(str, starts))
-            links = [(str(src), str(dst)) for src, dst in links]
-            expected = [([list(map(str, c)) for c in columns], counts)
-                        for columns, counts in expected]
         got = ArrayTally.of(tally_of(starts, links)).columns()
         assert_same_columns(got, expected)
-        if starts or links:  # no ids at all give int64 arrays either way
-            for columns, _ in got:
-                for column in columns:
-                    assert (isinstance(column, list) if as_strings
-                            else column.dtype == np.int64)
+        for columns, _ in got:
+            for column in columns:
+                assert column.dtype == np.int64
